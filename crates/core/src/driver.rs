@@ -5,8 +5,10 @@
 //! `(source server, rate update)` pairs. Two implementations exist:
 //!
 //! * [`AllocatorService`] — one service, one engine (the Figure-1 box);
-//! * [`ShardedService`](crate::ShardedService) — N inner services, the
-//!   endpoint space partitioned across them.
+//! * [`ShardRouter`](crate::ShardRouter) — N inner services, the
+//!   endpoint space partitioned across them, exchanging link state
+//!   in-process ([`ShardedService`](crate::ShardedService)) or over a
+//!   wire (`flowtune_net::PeerCluster`).
 //!
 //! The network simulator, the fluid-model driver and the experiment
 //! binaries all hold a [`BoxTickDriver`] obtained from

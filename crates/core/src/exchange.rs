@@ -114,7 +114,7 @@ fn write_state(column: &mut [f64], l: usize, value: f64, link: u32) -> Result<()
 }
 
 /// Per-shard state machine of the exchange protocol (see the module
-/// docs). Owned by the in-process [`crate::ShardedService`] (one per
+/// docs). Owned by the in-process [`crate::InProcessBackend`] (one per
 /// shard) and by each distributed `ShardPeer` (exactly one).
 #[derive(Debug)]
 pub struct ExchangeCore {

@@ -84,6 +84,7 @@ pub mod endpoint;
 pub mod exchange;
 pub mod flowlet;
 pub mod placement;
+pub mod router;
 pub mod scenario;
 pub mod service;
 pub mod sharded;
@@ -97,6 +98,7 @@ pub use flowlet::FlowletTracker;
 pub use placement::{
     ParsePlacementError, Placement, PlacementSpec, TrafficMatrix, PLACEMENT_NAMES,
 };
+pub use router::{merge_by_token_into, ShardBackend, ShardRouter};
 pub use scenario::{
     jain_index, run_scenario, run_scenario_traced, PhaseReport, ScenarioOptions, ScenarioReport,
 };
@@ -104,5 +106,5 @@ pub use service::{
     AllocatorService, DynAllocatorService, Engine, FlowMigration, ParseEngineError, ServiceBuilder,
     ServiceError, ServiceStats, ENGINE_NAMES,
 };
-pub use sharded::{merge_by_token, merge_by_token_into, ShardedService};
+pub use sharded::{InProcessBackend, ShardedService};
 pub use token::TokenAllocator;

@@ -1,9 +1,10 @@
 //! Exchange-aware shard placement: which endpoints each shard owns.
 //!
 //! Sharding the allocator only scales if the partition does not
-//! re-create the very congestion it is meant to control. The
-//! [`ShardedService`](crate::ShardedService) routes every flowlet to the
-//! shard owning its **source** endpoint, so a fabric link is *shared* —
+//! re-create the very congestion it is meant to control. The sharded
+//! control plane's [`ShardRouter`](crate::ShardRouter) (in-process or on
+//! the wire) routes every flowlet to the shard owning its **source**
+//! endpoint, so a fabric link is *shared* —
 //! and must be reconciled through the periodic link-state exchange —
 //! exactly when sources in different shards load it (destination-side
 //! links of a rack that receives from several shards; source-side links
@@ -23,13 +24,13 @@
 //! loading shard (and installs fewer consensus duals back). The traffic
 //! matrix can be supplied up front (sampled from the workload generator,
 //! see `flowtune_workload::rack_traffic_matrix`) or accumulated online by
-//! the running service
-//! ([`ShardedService::observed_matrix`](crate::ShardedService::observed_matrix));
+//! the running router
+//! ([`ShardRouter::observed_matrix`](crate::ShardRouter::observed_matrix));
 //! the exchange's cumulative per-link ship counters
 //! ([`ShardedService::exchange_shipped_counts`](crate::ShardedService::exchange_shipped_counts))
 //! are the *trigger* signal — links that keep re-shipping under churn
 //! mark a placement worth redoing via
-//! [`ShardedService::replace`](crate::ShardedService::replace).
+//! [`ShardRouter::replace`](crate::ShardRouter::replace).
 //!
 //! When the matrix carries no signal (all zeros, or a shape the fabric
 //! does not match), [`Placement::traffic`] falls back to the contiguous
@@ -180,10 +181,10 @@ impl TrafficMatrix {
     }
 }
 
-/// A materialized endpoint→shard mapping, consulted by
-/// [`ShardedService`](crate::ShardedService) on every `FlowletStart` and
+/// A materialized endpoint→shard mapping, consulted by the
+/// [`ShardRouter`](crate::ShardRouter) on every `FlowletStart` and
 /// swappable at run time via
-/// [`ShardedService::replace`](crate::ShardedService::replace).
+/// [`ShardRouter::replace`](crate::ShardRouter::replace).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// server index → shard index.

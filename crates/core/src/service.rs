@@ -61,7 +61,7 @@ struct Registered {
 /// A flowlet registration detached from its service, carrying everything
 /// needed to re-register the flow elsewhere — the unit of flow-state
 /// migration between shards during a re-placement epoch
-/// ([`ShardedService::replace`](crate::ShardedService::replace)).
+/// ([`ShardRouter::replace`](crate::ShardRouter::replace)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowMigration {
     /// The endpoint-visible flowlet token.
@@ -149,7 +149,7 @@ pub enum ServiceError {
     /// shards nested inside shards).
     BadShards(&'static str),
     /// A shard's engine panicked during
-    /// [`ShardedService::try_tick`](crate::ShardedService::try_tick). The
+    /// [`ShardRouter::try_tick`](crate::ShardRouter::try_tick) in-process. The
     /// sibling shards completed the tick and the worker pool survives
     /// (the panic payload is printed by the panic hook as usual); the
     /// merged update stream for the tick is dropped because it would be
@@ -157,6 +157,15 @@ pub enum ServiceError {
     ShardPanicked {
         /// Index of the shard whose tick panicked.
         shard: usize,
+    },
+    /// A wire shard peer failed during a tick or a re-placement epoch —
+    /// a send, its exchange barrier, or an epoch frame that never
+    /// arrived. The tick's merged update stream is dropped.
+    PeerFailed {
+        /// Index of the shard whose peer failed.
+        shard: usize,
+        /// The failure's I/O class (`TimedOut`, `BrokenPipe`, …).
+        kind: std::io::ErrorKind,
     },
 }
 
@@ -186,6 +195,9 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::ShardPanicked { shard } => {
                 write!(f, "shard {shard} panicked during its tick")
+            }
+            ServiceError::PeerFailed { shard, kind } => {
+                write!(f, "shard {shard}'s peer failed: {kind}")
             }
         }
     }
@@ -380,26 +392,6 @@ impl ServiceBuilder {
     pub fn exchange(mut self, exchange: crate::ExchangeConfig) -> Self {
         self.cfg.exchange_every = exchange.every;
         self.cfg.exchange_delta_eps = exchange.delta_eps;
-        self
-    }
-
-    /// Sets the inter-shard link-state exchange cadence in ticks
-    /// ([`crate::FlowtuneConfig::exchange_every`]; 0 disables). Only
-    /// meaningful with [`Engine::Sharded`] via
-    /// [`ServiceBuilder::build_driver`].
-    #[deprecated(since = "0.9.0", note = "use `exchange(ExchangeConfig)` instead")]
-    pub fn exchange_every(mut self, ticks: u64) -> Self {
-        self.cfg.exchange_every = ticks;
-        self
-    }
-
-    /// Sets the exchange's delta filter
-    /// ([`crate::FlowtuneConfig::exchange_delta_eps`]): only links whose
-    /// load, dual or Hessian moved by more than `eps` since their last
-    /// shipped values are re-shipped in an exchange round.
-    #[deprecated(since = "0.9.0", note = "use `exchange(ExchangeConfig)` instead")]
-    pub fn exchange_delta_eps(mut self, eps: f64) -> Self {
-        self.cfg.exchange_delta_eps = eps;
         self
     }
 
@@ -1162,21 +1154,6 @@ mod tests {
             .unwrap();
         assert_eq!(svc.cfg.exchange_every, 4);
         assert_eq!(svc.cfg.exchange_delta_eps, 1e-6);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_exchange_setters_still_forward() {
-        // The pre-grouping per-knob setters must keep working while
-        // callers migrate to `exchange(ExchangeConfig)`.
-        let svc = AllocatorService::builder()
-            .fabric(&fabric())
-            .exchange_every(3)
-            .exchange_delta_eps(0.25)
-            .build()
-            .unwrap();
-        assert_eq!(svc.cfg.exchange_every, 3);
-        assert_eq!(svc.cfg.exchange_delta_eps, 0.25);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The sharded control plane: N independent allocator services, one slice
-//! of the endpoint space each, ticked concurrently.
+//! The in-process sharded control plane: N allocator services, one slice
+//! of the endpoint space each, ticked concurrently in one process.
 //!
 //! The paper scales NED across cores of one machine (§5); the next scaling
 //! step is to partition the *allocator itself* so independent fabric
@@ -8,33 +8,29 @@
 //! rate allocation survives at scale only when the allocator is
 //! partitioned).
 //!
-//! [`ShardedService`] routes every `FlowletStart` to the shard that owns
-//! its **source endpoint**, as decided by a
-//! [`Placement`]: the default is contiguous,
-//! equal server ranges (when the shard count equals the fabric's block count a
-//! shard's range is exactly one §5 block, so a shard's flows enter the
-//! fabric through its own up-LinkBlock), and a traffic-aware placement
-//! groups communicating racks instead (see [`crate::placement`]).
-//! Token-addressed messages (`FlowletEnd`) follow a token→shard routing
-//! table. Each shard runs a full [`AllocatorService`] over the whole
-//! fabric but sees only its own flows.
+//! [`ShardedService`] is the [`ShardRouter`] over the in-process
+//! [`InProcessBackend`]. The router owns everything the in-process and
+//! wire deployments share — routing by source endpoint through a
+//! [`Placement`](crate::Placement) (contiguous server ranges by default,
+//! one §5 block per shard when the counts match; traffic-aware grouping
+//! of communicating racks via [`crate::placement`]), token→shard
+//! routing for `FlowletEnd`s, routing-layer accounting, the observed
+//! rack traffic matrix, the token-ordered stream merge and re-placement
+//! epochs ([`ShardRouter::replace`]). This module holds only what is
+//! in-process about it: plain [`AllocatorService`] shards, the
+//! worker-pool fan-out with shard-panic containment, and the per-shard
+//! [`ExchangeCore`]s over one flat frame buffer — a synchronous tick
+//! that moves every shard's frame *is* the transport. Each shard runs a
+//! full service over the whole fabric but sees only its own flows.
 //!
-//! A placement can be swapped at run time — a **re-placement epoch** —
-//! with [`ShardedService::replace`]: tokens whose source endpoint now
-//! belongs to a different shard are migrated deterministically (in
-//! ascending token order, engine state detached from the old shard and
-//! re-registered in the new one), after which the migrated flows
-//! re-converge under their new shard's prices. The service accumulates
-//! the signals a re-placement decision needs while it runs: a rack-level
-//! traffic matrix from flowlet intake ([`ShardedService::observed_matrix`])
-//! and the exchange's cumulative per-link ship counters
-//! ([`ShardedService::exchange_shipped_counts`] — links that keep
-//! re-shipping under churn are the shared hot links a better placement
-//! would unshare).
+//! The backend also keeps the exchange's cumulative per-link ship
+//! counters ([`ShardedService::exchange_shipped_counts`]) — links that
+//! keep re-shipping under churn are the shared hot links a better
+//! placement would unshare, the trigger for a re-placement epoch.
 //!
 //! # The two-phase tick
 //!
-//! [`ShardedService::tick`] runs in two phases separated by a barrier:
+//! A [`ShardedService`] tick runs in two phases separated by a barrier:
 //!
 //! 1. **allocate ∥** — every shard's per-tick work (engine iterations,
 //!    threshold-filtered update export, and — when an exchange round is
@@ -47,10 +43,10 @@
 //!    arithmetic: the output is bit-for-bit identical to ticking the
 //!    shards one after another.
 //! 2. **exchange-barrier, install** — once every shard is done (the
-//!    pool's fan-out *is* the barrier), the routing layer runs the
-//!    cross-shard consensus of the exchange (when due) on the caller
-//!    thread and installs background loads/Hessians and consensus duals
-//!    into the shards, then k-way merges the shards' token-ordered
+//!    pool's fan-out *is* the barrier), the backend runs the cross-shard
+//!    consensus of the exchange (when due) on the caller thread and
+//!    installs background loads/Hessians and consensus duals into the
+//!    shards; the router then k-way merges the shards' token-ordered
 //!    update streams into one (disjoint token sets make the merge exact).
 //!
 //! [`FlowtuneConfig::parallel_shards`](crate::FlowtuneConfig) (default
@@ -58,7 +54,7 @@
 //! sequentially on the caller — same bytes out, useful on single-core
 //! hosts and as the reference in equivalence tests. A shard whose engine
 //! panics mid-tick is *contained*: siblings complete, the pool survives,
-//! and [`ShardedService::try_tick`] reports
+//! and [`ShardRouter::try_tick`] reports
 //! [`ServiceError::ShardPanicked`] instead of aborting the process.
 //!
 //! # Cross-shard link-state exchange
@@ -76,7 +72,7 @@
 //! [`FlowtuneConfig::exchange_every`](crate::FlowtuneConfig) ticks, each
 //! shard exports its per-link loads and Hessian diagonals (the `(G, H)`
 //! pair its own price update uses) and its per-link duals, and the
-//! routing layer runs three consensus parts:
+//! backend runs three consensus parts:
 //!
 //! * **load aggregation** — each shard imports the *other* shards' load
 //!   sum as exogenous background load
@@ -151,58 +147,45 @@
 //! to exchange and the path is never taken, keeping one-shard
 //! deployments bit-for-bit equal to the unsharded service.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 use flowtune_alloc::{RateAllocator, SerialAllocator, WorkerPool};
-use flowtune_proto::{Message, Token};
+use flowtune_proto::Message;
 use flowtune_topo::TwoTierClos;
 
-use crate::driver::{PhaseTimings, TickDriver};
 use crate::exchange::ExchangeCore;
-use crate::placement::{Placement, TrafficMatrix};
-use crate::service::{AllocatorService, ServiceError, ServiceStats};
+use crate::router::{ShardBackend, ShardRouter};
+use crate::service::{AllocatorService, FlowMigration, ServiceError, ServiceStats};
 use crate::FlowtuneConfig;
 
-/// Per-shard tick outputs and export scratch, reused across ticks so the
-/// hot path stops allocating: phase 1 writes here, phase 2 reads.
+/// N [`AllocatorService`] shards in one process behind one
+/// [`TickDriver`](crate::TickDriver) face: the [`ShardRouter`] over the
+/// [`InProcessBackend`] (see the module docs).
+pub type ShardedService<E = SerialAllocator> = ShardRouter<InProcessBackend<E>>;
+
+/// Per-shard link-state export scratch, reused across exchange rounds so
+/// the hot path stops allocating: phase 1 writes here, phase 2 reads.
 #[derive(Debug, Default)]
-struct ShardSlot {
-    /// The shard's token-ordered update stream from this tick.
-    updates: Vec<(u16, Message)>,
-    /// Link-state exports, refreshed only on exchange rounds.
+struct ExportSlot {
     loads: Vec<f64>,
     hessians: Vec<f64>,
     prices: Vec<f64>,
 }
 
-/// N independent [`AllocatorService`] shards behind one
-/// [`TickDriver`] face.
+/// One shard's phase-1 work item: its service, export scratch, and the
+/// router's stream slot its updates land in.
+type ShardItem<'a, E> = (
+    &'a mut AllocatorService<E>,
+    (&'a mut ExportSlot, &'a mut Vec<(u16, Message)>),
+);
+
+/// The in-process exchange backend behind [`ShardedService`]: plain
+/// services, the worker-pool fan-out, and one [`ExchangeCore`] per shard
+/// over a flat frame buffer.
 #[derive(Debug)]
-pub struct ShardedService<E: RateAllocator = SerialAllocator> {
+pub struct InProcessBackend<E: RateAllocator = SerialAllocator> {
     shards: Vec<AllocatorService<E>>,
-    /// token → shard, for `FlowletEnd` routing and rate queries.
-    route: HashMap<Token, u32>,
-    /// The endpoint→shard mapping `FlowletStart`s route by; swapped by
-    /// [`ShardedService::replace`].
-    placement: Placement,
-    /// Servers per rack, for the observed matrix's rack granularity.
-    servers_per_rack: usize,
-    /// Rack-level traffic matrix accumulated from accepted starts — the
-    /// online placement signal.
-    observed: TrafficMatrix,
-    /// Cumulative count of exchange entries shipped per link (summed
-    /// over shards) — the re-placement *trigger* signal: links that keep
-    /// re-shipping are shared hot links.
-    shipped_totals: Vec<u64>,
-    /// Counters for messages the routing layer disposed of itself
-    /// (duplicates, unknown ends, stray rate updates) and for the
-    /// link-state exchange — folded into [`ShardedService::stats`] so the
-    /// aggregate matches an unsharded service byte for byte (the exchange
-    /// counters are zero whenever the exchange is off).
-    local: ServiceStats,
     /// Exchange cadence in ticks, copied from the shards' shared
     /// configuration (0 = disabled).
     exchange_every: u64,
@@ -217,8 +200,7 @@ pub struct ShardedService<E: RateAllocator = SerialAllocator> {
     /// Ticks driven so far (the exchange fires when `ticks` is a
     /// multiple of the cadence).
     ticks: u64,
-    /// Per-shard tick outputs + export scratch (reused every tick).
-    slots: Vec<ShardSlot>,
+    slots: Vec<ExportSlot>,
     /// Per-shard exchange protocol cores: each owns its shard's delta
     /// filter, last-shipped replicas, and install math — the same
     /// [`ExchangeCore`] a distributed shard peer runs, so the in-process
@@ -229,8 +211,12 @@ pub struct ShardedService<E: RateAllocator = SerialAllocator> {
     wire_buf: Vec<u8>,
     /// Frame boundaries within `wire_buf` (`n + 1` offsets).
     frame_offs: Vec<usize>,
-    /// Cumulative wall time spent in the exchange barrier (phase 2),
-    /// reported as [`PhaseTimings::exchange`].
+    /// Cumulative count of exchange entries shipped per link (summed
+    /// over shards).
+    shipped_totals: Vec<u64>,
+    /// Exchange rounds, logical bytes and decode errors.
+    exchange: ServiceStats,
+    /// Cumulative wall time spent in the exchange barrier (phase 2).
     exchange_time: Duration,
 }
 
@@ -241,7 +227,6 @@ impl ShardedService {
     /// # Panics
     /// Panics if `shards` is 0.
     pub fn new(fabric: &TwoTierClos, cfg: FlowtuneConfig, shards: usize) -> Self {
-        assert!(shards > 0, "a sharded service needs at least one shard");
         Self::from_shards(
             (0..shards)
                 .map(|_| AllocatorService::new(fabric, cfg))
@@ -251,147 +236,20 @@ impl ShardedService {
 }
 
 impl<E: RateAllocator> ShardedService<E> {
-    /// Assembles the service from already-built shards (all over the same
-    /// fabric) under the contiguous placement: shard `i` owns the `i`-th
-    /// contiguous slice of the server space. The shards'
-    /// [`FlowtuneConfig::placement`](crate::FlowtuneConfig) spec is *not*
-    /// consulted — this constructor has no traffic-matrix channel, and a
-    /// `Traffic` spec without a matrix falls back to contiguous anyway;
-    /// to materialize a traffic-aware mapping go through
-    /// [`ServiceBuilder::build_driver`](crate::ServiceBuilder::build_driver)
-    /// or pass an explicit [`Placement`] to
-    /// [`ShardedService::with_placement`].
-    ///
-    /// # Panics
-    /// Panics if `shards` is empty or the shards disagree on the fabric
-    /// or on the exchange/parallelism/placement configuration.
-    pub fn from_shards(shards: Vec<AllocatorService<E>>) -> Self {
-        assert!(
-            !shards.is_empty(),
-            "a sharded service needs at least one shard"
-        );
-        let placement =
-            Placement::contiguous(shards[0].fabric().config().server_count(), shards.len());
-        Self::with_placement(shards, placement)
-    }
-
-    /// [`ShardedService::from_shards`] with an explicit endpoint→shard
-    /// [`Placement`] (built by [`crate::Placement::contiguous`] or
-    /// [`crate::Placement::traffic`];
-    /// [`ServiceBuilder::build_driver`](crate::ServiceBuilder::build_driver)
-    /// materializes one from
-    /// [`FlowtuneConfig::placement`](crate::FlowtuneConfig) and the
-    /// builder's traffic matrix).
-    ///
-    /// # Panics
-    /// Panics if `shards` is empty, the shards disagree on the fabric or
-    /// on the exchange/parallelism/placement configuration, or the
-    /// placement's shape (server count, shard count) does not match.
-    pub fn with_placement(shards: Vec<AllocatorService<E>>, placement: Placement) -> Self {
-        assert!(
-            !shards.is_empty(),
-            "a sharded service needs at least one shard"
-        );
-        let clos = shards[0].fabric().config().clone();
-        assert!(
-            shards.iter().all(|s| *s.fabric().config() == clos),
-            "all shards must serve the same fabric"
-        );
-        let cfg = shards[0].config();
-        assert!(
-            shards.iter().all(|s| {
-                let c = s.config();
-                c.exchange_every == cfg.exchange_every
-                    && c.exchange_delta_eps == cfg.exchange_delta_eps
-                    && c.parallel_shards == cfg.parallel_shards
-                    && c.placement == cfg.placement
-                    && c.incremental == cfg.incremental
-                    && c.full_sweep_every == cfg.full_sweep_every
-                    && c.dirty_eps == cfg.dirty_eps
-            }),
-            "all shards must agree on the exchange, parallelism, placement and incremental configuration"
-        );
-        assert_eq!(
-            placement.servers(),
-            clos.server_count(),
-            "placement must cover exactly the fabric's servers"
-        );
-        assert_eq!(
-            placement.shard_count(),
-            shards.len(),
-            "placement must map onto exactly the built shards"
-        );
-        let n = shards.len();
-        let racks = clos.server_count() / clos.servers_per_rack;
-        Self {
-            parallel: cfg.parallel_shards && n > 1,
-            shards,
-            route: HashMap::new(),
-            placement,
-            servers_per_rack: clos.servers_per_rack,
-            observed: TrafficMatrix::new(racks),
-            shipped_totals: Vec::new(),
-            local: ServiceStats::default(),
-            exchange_every: cfg.exchange_every,
-            exchange_delta_eps: cfg.exchange_delta_eps.max(0.0),
-            pool: None,
-            ticks: 0,
-            slots: (0..n).map(|_| ShardSlot::default()).collect(),
-            cores: (0..n)
-                .map(|i| ExchangeCore::new(i as u16, n, cfg.exchange_delta_eps))
-                .collect(),
-            wire_buf: Vec::new(),
-            frame_offs: Vec::new(),
-            exchange_time: Duration::ZERO,
-        }
-    }
-
     /// The inter-shard link-state exchange cadence in ticks (0 =
     /// disabled).
     pub fn exchange_every(&self) -> u64 {
-        self.exchange_every
+        self.backend().exchange_every
     }
 
     /// The exchange's delta filter in Gbit/s (see the module docs).
     pub fn exchange_delta_eps(&self) -> f64 {
-        self.exchange_delta_eps
+        self.backend().exchange_delta_eps
     }
 
     /// Whether ticks run the shards concurrently on the worker pool.
     pub fn parallel_shards(&self) -> bool {
-        self.parallel
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Read access to the shards, in partition order.
-    pub fn shards(&self) -> &[AllocatorService<E>] {
-        &self.shards
-    }
-
-    /// The shard owning source endpoint `src`, per the current
-    /// [`Placement`] (under the default contiguous placement, shard =
-    /// block when the shard count equals the fabric's block count).
-    /// Out-of-range endpoints clamp to the last server's shard, whose
-    /// service rejects them as [`ServiceError::MalformedStart`].
-    pub fn shard_of(&self, src: u16) -> usize {
-        self.placement.shard_of(src)
-    }
-
-    /// The endpoint→shard mapping currently routing `FlowletStart`s.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// The rack-level traffic matrix accumulated from accepted flowlet
-    /// starts since construction (offered bytes by `size_hint`, floored
-    /// at 1 so zero-hint flowlets still register) — the online signal
-    /// [`crate::Placement::traffic`] consumes for a re-placement epoch.
-    pub fn observed_matrix(&self) -> &TrafficMatrix {
-        &self.observed
+        self.backend().parallel
     }
 
     /// Cumulative count of exchange entries shipped per link (summed over
@@ -399,198 +257,96 @@ impl<E: RateAllocator> ShardedService<E> {
     /// round). Links that keep re-shipping under steady churn are the
     /// shared hot links an exchange-aware placement would unshare — a
     /// rising tail here is the signal to compute a fresh placement from
-    /// [`ShardedService::observed_matrix`] and call
-    /// [`ShardedService::replace`].
+    /// [`ShardRouter::observed_matrix`] and call [`ShardRouter::replace`].
     pub fn exchange_shipped_counts(&self) -> &[u64] {
-        &self.shipped_totals
+        &self.backend().shipped_totals
     }
+}
 
-    /// Installs a new [`Placement`] — a **re-placement epoch**. Every
-    /// active flowlet whose source endpoint now belongs to a different
-    /// shard is migrated: detached from its old shard (engine state and
-    /// threshold-filter memory dropped) and re-registered in the new one,
-    /// in ascending token order so the epoch is deterministic. Migrated
-    /// flows re-enter their engine at the initial rate and re-converge
-    /// under the new shard's prices (F-NORM keeps the transient
-    /// feasible); unmoved flows are untouched. Aggregate stats do not
-    /// move — migration is not intake churn. Returns the number of flows
-    /// migrated.
-    ///
-    /// The exchange's last-shipped tables are deliberately kept: they
-    /// record what the other shards are still pricing, and the delta
-    /// filter re-ships exactly what the migration moved on the next
-    /// round.
-    ///
-    /// # Panics
-    /// Panics if the placement's shape (server count, shard count) does
-    /// not match this service.
-    pub fn replace(&mut self, placement: Placement) -> usize {
-        assert_eq!(
-            placement.servers(),
-            self.placement.servers(),
-            "replacement must cover the same server space"
+impl<E: RateAllocator> ShardBackend for InProcessBackend<E> {
+    type Shard = AllocatorService<E>;
+    type Engine = E;
+    const NAME: &'static str = "sharded";
+
+    fn from_shards(shards: Vec<AllocatorService<E>>) -> Self {
+        assert!(
+            !shards.is_empty(),
+            "a sharded service needs at least one shard"
         );
-        assert_eq!(
-            placement.shard_count(),
-            self.shards.len(),
-            "replacement must map onto the same shard count"
+        let cfg = shards[0].config();
+        let shared = |c: FlowtuneConfig| {
+            let exchange = (c.exchange_every, c.exchange_delta_eps, c.parallel_shards);
+            let sweep = (c.incremental, c.full_sweep_every, c.dirty_eps);
+            (exchange, c.placement, sweep)
+        };
+        assert!(
+            shards.iter().all(|s| shared(s.config()) == shared(cfg)),
+            "all shards must agree on the exchange, parallelism, placement and incremental configuration"
         );
-        // flowtune-lint: allow(float-determinism, "snapshot is sorted by token before any flow moves")
-        let mut tokens: Vec<(Token, u32)> = self.route.iter().map(|(&t, &s)| (t, s)).collect();
-        tokens.sort_unstable_by_key(|&(t, _)| t);
-        let mut moved = 0;
-        for (token, old) in tokens {
-            let src = self.shards[old as usize]
-                .flow_source(token)
-                .expect("routed token must be registered in its shard");
-            let new = placement.shard_of(src) as u32;
-            if new == old {
-                continue;
-            }
-            let migration = self.shards[old as usize]
-                .extract_flow(token)
-                .expect("routed token must be extractable");
-            self.shards[new as usize]
-                .adopt_flow(migration)
-                .expect("tokens are unique across shards");
-            self.route.insert(token, new);
-            moved += 1;
-        }
-        self.placement = placement;
-        // Every shard re-ships its unmoved non-zero entries as catch-up
-        // records on the next round. In-process the replicas are already
-        // consistent, so this changes no state and no logical byte count
-        // — but it keeps the frames identical to what a distributed
-        // deployment (where an epoch may accompany a peer restart with
-        // empty replicas) puts on the wire.
-        for core in &mut self.cores {
-            core.request_resync();
-        }
-        moved
-    }
-
-    /// The shard an active flowlet is registered in.
-    pub fn shard_for_token(&self, token: Token) -> Option<usize> {
-        self.route.get(&token).map(|&s| s as usize)
-    }
-
-    /// Routes an endpoint notification to its shard (see
-    /// [`AllocatorService::on_message`] for semantics; the behavior —
-    /// including rejection counting — matches the unsharded service).
-    ///
-    /// # Errors
-    /// The inner service's error, or [`ServiceError::DuplicateToken`] /
-    /// [`ServiceError::UnexpectedRateUpdate`] raised at the routing layer.
-    pub fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
-        match msg {
-            Message::FlowletStart {
-                token,
-                src,
-                dst,
-                size_hint,
-                ..
-            } => {
-                if self.route.contains_key(&token) {
-                    // Cross-shard duplicate detection must happen here: the
-                    // original may live in a different shard than the one
-                    // `src` routes to.
-                    self.local.bytes_in += msg.encoded_len() as u64;
-                    self.local.rejected += 1;
-                    return Err(ServiceError::DuplicateToken(token));
-                }
-                let shard = self.shard_of(src);
-                self.shards[shard].on_message(msg)?;
-                self.route.insert(token, shard as u32);
-                // Accepted (so src/dst are in range): feed the online
-                // placement signal at rack granularity.
-                let rack_of = |s: u16| s as usize / self.servers_per_rack;
-                self.observed
-                    .add(rack_of(src), rack_of(dst), f64::from(size_hint.max(1)));
-                Ok(())
-            }
-            Message::FlowletEnd { token } => match self.route.remove(&token) {
-                Some(shard) => self.shards[shard as usize].on_message(msg),
-                None => {
-                    // Unknown ends are ignored (predecessor allocator or
-                    // re-keyed endpoint), but their bytes still arrived.
-                    self.local.bytes_in += msg.encoded_len() as u64;
-                    Ok(())
-                }
-            },
-            Message::RateUpdate { .. } => {
-                self.local.bytes_in += msg.encoded_len() as u64;
-                self.local.rejected += 1;
-                Err(ServiceError::UnexpectedRateUpdate)
-            }
+        let n = shards.len();
+        Self {
+            exchange_every: cfg.exchange_every,
+            exchange_delta_eps: cfg.exchange_delta_eps.max(0.0),
+            parallel: cfg.parallel_shards && n > 1,
+            pool: None,
+            ticks: 0,
+            slots: (0..n).map(|_| ExportSlot::default()).collect(),
+            cores: (0..n)
+                .map(|i| ExchangeCore::new(i as u16, n, cfg.exchange_delta_eps))
+                .collect(),
+            wire_buf: Vec::new(),
+            frame_offs: Vec::new(),
+            shipped_totals: Vec::new(),
+            exchange: ServiceStats::default(),
+            exchange_time: Duration::ZERO,
+            shards,
         }
     }
 
-    /// One tick of every shard (see the module docs' two-phase
-    /// structure), with the per-shard update streams merged into a single
-    /// token-ordered stream (each shard's stream is already
-    /// token-ordered, and token sets are disjoint, so a k-way merge
-    /// reproduces exactly the order an unsharded service emits). When the
-    /// exchange cadence is due, the shards' post-tick link state is
-    /// exchanged so the *next* tick's pricing sees the freshest
-    /// cross-shard state.
-    ///
-    /// # Panics
-    /// Propagates a shard-tick panic as a panic on the caller; use
-    /// [`ShardedService::try_tick`] to get a [`ServiceError`] instead.
-    pub fn tick(&mut self) -> Vec<(u16, Message)> {
-        match self.try_tick() {
-            Ok(updates) => updates,
-            Err(e) => panic!("{e}"),
-        }
+    fn shards(&self) -> &[AllocatorService<E>] {
+        &self.shards
     }
 
-    /// [`ShardedService::tick`] with shard panics contained: if a shard's
-    /// engine panics mid-tick, the sibling shards still complete their
-    /// tick, the worker pool survives, and the error names the dead shard
-    /// (the tick's merged update stream is dropped — it would be missing
-    /// the failed shard's updates). The panic payload reaches the panic
-    /// hook (stderr) as usual.
-    ///
-    /// # Errors
-    /// [`ServiceError::ShardPanicked`] naming the lowest-indexed shard
-    /// whose tick panicked.
-    pub fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
+    fn service(&self, shard: usize) -> &AllocatorService<E> {
+        &self.shards[shard]
+    }
+
+    fn service_mut(&mut self, shard: usize) -> &mut AllocatorService<E> {
+        &mut self.shards[shard]
+    }
+
+    /// The two-phase tick (see the module docs). A shard whose engine
+    /// panics is contained: the sibling shards still complete their
+    /// tick, the worker pool survives, and the error names the
+    /// lowest-indexed dead shard (the panic payload reaches the panic
+    /// hook as usual).
+    fn tick(&mut self, streams: &mut [Vec<(u16, Message)>]) -> Result<(), ServiceError> {
         self.ticks += 1;
-        let exchange = self.exchange_every > 0
-            && self.shards.len() > 1
-            && self.ticks.is_multiple_of(self.exchange_every);
+        let n = self.shards.len();
+        let exchange =
+            self.exchange_every > 0 && n > 1 && self.ticks.is_multiple_of(self.exchange_every);
 
         // Phase 1: allocate ∥ — every shard ticks (and, on exchange
         // rounds, exports its link state) with no shared state.
-        let mut panicked: Option<usize> = None;
-        if self.parallel {
-            let n = self.shards.len();
+        let mut items: Vec<ShardItem<'_, E>> = self
+            .shards
+            .iter_mut()
+            .zip(self.slots.iter_mut().zip(streams.iter_mut()))
+            // flowtune-lint: allow(hot-path-alloc, "O(shards) fan-out list per tick, not per flow")
+            .collect();
+        let task = |_: usize, item: &mut ShardItem<'_, E>| tick_shard(item, exchange);
+        let panicked = if self.parallel {
             let pool = self.pool.get_or_insert_with(|| WorkerPool::new(n));
-            let mut items: Vec<(&mut AllocatorService<E>, &mut ShardSlot)> =
-                // flowtune-lint: allow(hot-path-alloc, "O(shards) fan-out list per tick, not per flow")
-                self.shards.iter_mut().zip(self.slots.iter_mut()).collect();
-            if let Err(e) = pool.fan_out(&mut items, &|_, (shard, slot)| {
-                tick_shard(shard, slot, exchange);
-            }) {
-                panicked = Some(e.item());
-            }
+            pool.fan_out(&mut items, &task).err().map(|e| e.item())
         } else {
-            for (i, (shard, slot)) in self
-                .shards
-                .iter_mut()
-                .zip(self.slots.iter_mut())
-                .enumerate()
-            {
-                // Same containment as the pool path: siblings complete,
-                // the lowest-indexed panic is reported.
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    tick_shard(shard, slot, exchange);
-                }));
-                if outcome.is_err() && panicked.is_none() {
-                    panicked = Some(i);
-                }
-            }
-        }
+            // Same containment as the pool path: every shard runs, the
+            // lowest-indexed panic is reported.
+            (0..n)
+                .filter(|&i| {
+                    std::panic::catch_unwind(AssertUnwindSafe(|| task(i, &mut items[i]))).is_err()
+                })
+                .min()
+        };
         if let Some(shard) = panicked {
             return Err(ServiceError::ShardPanicked { shard });
         }
@@ -602,15 +358,34 @@ impl<E: RateAllocator> ShardedService<E> {
             self.exchange_link_state();
             self.exchange_time += t0.elapsed();
         }
-        let streams: Vec<Vec<(u16, Message)>> = self
-            .slots
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.updates))
-            // flowtune-lint: allow(hot-path-alloc, "O(shards) list of moved streams per tick, not per flow")
-            .collect();
-        Ok(merge_by_token(streams))
+        Ok(())
     }
 
+    fn migrate(&mut self, moves: &[(usize, usize, FlowMigration)]) -> Result<(), ServiceError> {
+        for &(_, to, flow) in moves {
+            self.shards[to].adopt_flow(flow)?;
+        }
+        // In-process the replicas are already consistent, so the
+        // catch-up resync changes no state and no logical byte count —
+        // but it keeps the frames identical to what a distributed
+        // deployment (where an epoch may accompany a peer restart with
+        // empty replicas) puts on the wire.
+        for core in &mut self.cores {
+            core.request_resync();
+        }
+        Ok(())
+    }
+
+    fn exchange_stats(&self) -> ServiceStats {
+        self.exchange
+    }
+
+    fn exchange_time(&self) -> Duration {
+        self.exchange_time
+    }
+}
+
+impl<E: RateAllocator> InProcessBackend<E> {
     /// One round of the inter-shard link-state exchange, in three parts
     /// (the §5 aggregation's `(load, H)` pairs plus its
     /// owner-distributes-the-price step, one level up):
@@ -637,14 +412,14 @@ impl<E: RateAllocator> ShardedService<E> {
     ///
     /// All three parts run inside the per-shard [`ExchangeCore`]s, over
     /// the **serialized frames** the cores write and read — the exact
-    /// bytes a distributed deployment puts on a socket. This routing
-    /// layer only orchestrates: every core encodes its shard's frame
-    /// into one flat reusable buffer, every core applies every other
-    /// core's frame to its replicas, and every core installs the
-    /// aggregation into its own shard. Shards whose engine exports
-    /// nothing (Fastpass) ship inactive frames and their installs are
-    /// documented no-ops; engines with no second-order term (gradient
-    /// projection) skip the Hessian part only.
+    /// bytes a distributed deployment puts on a socket. This backend
+    /// only orchestrates: every core encodes its shard's frame into one
+    /// flat reusable buffer, every core applies every other core's frame
+    /// to its replicas, and every core installs the aggregation into its
+    /// own shard. Shards whose engine exports nothing (Fastpass) ship
+    /// inactive frames and their installs are documented no-ops; engines
+    /// with no second-order term (gradient projection) skip the Hessian
+    /// part only.
     fn exchange_link_state(&mut self) {
         let n = self.shards.len();
 
@@ -652,9 +427,8 @@ impl<E: RateAllocator> ShardedService<E> {
         self.wire_buf.clear();
         self.frame_offs.clear();
         self.frame_offs.push(0);
-        for i in 0..n {
-            let slot = &self.slots[i];
-            self.cores[i].begin_round(
+        for (core, slot) in self.cores.iter_mut().zip(&self.slots) {
+            core.begin_round(
                 self.ticks,
                 &slot.loads,
                 &slot.hessians,
@@ -668,14 +442,11 @@ impl<E: RateAllocator> ShardedService<E> {
         // frames were encoded in-process, so a decode failure is a bug —
         // but it is counted (never silently dropped), exactly as a peer
         // counts a corrupt frame off a socket.
-        for j in 0..n {
-            for i in 0..n {
-                if i == j {
-                    continue;
-                }
+        for (j, core) in self.cores.iter_mut().enumerate() {
+            for i in (0..n).filter(|&i| i != j) {
                 let frame = &self.wire_buf[self.frame_offs[i]..self.frame_offs[i + 1]];
-                if let Err(e) = self.cores[j].apply_frame(frame) {
-                    self.local.exchange_decode_errors += 1;
+                if let Err(e) = core.apply_frame(frame) {
+                    self.exchange.exchange_decode_errors += 1;
                     debug_assert!(false, "in-process frame failed to apply: {e}");
                 }
             }
@@ -686,9 +457,8 @@ impl<E: RateAllocator> ShardedService<E> {
         // shard exported any links — the round does not count.
         let mut bytes = 0u64;
         let mut counted = false;
-        for i in 0..n {
-            let core = &mut self.cores[i];
-            if let Some(b) = core.install(&mut self.shards[i]) {
+        for (core, shard) in self.cores.iter_mut().zip(&mut self.shards) {
+            if let Some(b) = core.install(shard) {
                 bytes += b;
                 counted = true;
             }
@@ -699,165 +469,19 @@ impl<E: RateAllocator> ShardedService<E> {
             for (total, &c) in self.shipped_totals.iter_mut().zip(ships) {
                 *total += u64::from(c);
             }
-            self.local.exchange_rounds += 1;
-            self.local.exchange_bytes += bytes;
+            self.exchange.exchange_rounds += 1;
+            self.exchange.exchange_bytes += bytes;
         }
-    }
-
-    /// Per-link loads of the whole control plane's raw allocation: the
-    /// element-wise sum of the shards' own loads (empty if no shard
-    /// prices fabric links). Telemetry path — allocates; the exchange
-    /// itself uses the reusable per-shard buffers.
-    pub fn link_loads(&self) -> Vec<f64> {
-        let exports: Vec<Vec<f64>> = self.shards.iter().map(|s| s.link_loads()).collect();
-        let n_links = exports.iter().map(Vec::len).max().unwrap_or(0);
-        if n_links == 0 {
-            return Vec::new();
-        }
-        let mut total = vec![0.0; n_links];
-        for export in exports.iter().filter(|e| !e.is_empty()) {
-            debug_assert_eq!(export.len(), n_links, "short shard export");
-            for (acc, x) in total.iter_mut().zip(export) {
-                *acc += x;
-            }
-        }
-        total
-    }
-
-    /// Current normalized rate of an active flowlet, Gbit/s.
-    pub fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
-        let &shard = self.route.get(&token)?;
-        self.shards[shard as usize].flow_rate_gbps(token)
-    }
-
-    /// Number of active flowlets across all shards.
-    pub fn active_flows(&self) -> usize {
-        self.route.len()
-    }
-
-    /// Operating counters aggregated over shards (plus the routing
-    /// layer's own rejections).
-    pub fn stats(&self) -> ServiceStats {
-        let mut total = self.local;
-        for s in &self.shards {
-            // Exhaustive destructuring: a counter added to `ServiceStats`
-            // must fail to compile here until it is aggregated.
-            let ServiceStats {
-                starts,
-                ends,
-                updates_sent,
-                updates_suppressed,
-                bytes_in,
-                bytes_out,
-                iterations,
-                rejected,
-                exchange_rounds,
-                exchange_bytes,
-                exchange_decode_errors,
-                dirty_flows,
-                dirty_links,
-            } = s.stats();
-            total.starts += starts;
-            total.ends += ends;
-            total.updates_sent += updates_sent;
-            total.updates_suppressed += updates_suppressed;
-            total.bytes_in += bytes_in;
-            total.bytes_out += bytes_out;
-            total.iterations += iterations;
-            total.rejected += rejected;
-            // Inner services never run exchanges themselves (the rounds
-            // are driven — and counted — by this routing layer), but
-            // aggregate anyway so the destructuring stays exhaustive.
-            total.exchange_rounds += exchange_rounds;
-            total.exchange_bytes += exchange_bytes;
-            total.exchange_decode_errors += exchange_decode_errors;
-            total.dirty_flows += dirty_flows;
-            total.dirty_links += dirty_links;
-        }
-        total
-    }
-
-    /// Cumulative per-phase wall time: the shards' intake/allocate/export
-    /// phases summed over shards, plus this routing layer's exchange
-    /// barrier. Under `parallel_shards` the shard phases run concurrently,
-    /// so the sum is CPU time, not wall time — still the right weight for
-    /// "where do the cycles go" breakdowns.
-    pub fn phase_timings(&self) -> PhaseTimings {
-        let mut total = PhaseTimings::default();
-        for s in &self.shards {
-            let t = s.phase_timings();
-            total.intake += t.intake;
-            total.allocate += t.allocate;
-            total.export += t.export;
-            total.exchange += t.exchange;
-        }
-        total.exchange += self.exchange_time;
-        total
-    }
-
-    /// The fabric this control plane serves.
-    pub fn fabric(&self) -> &TwoTierClos {
-        self.shards[0].fabric()
-    }
-
-    /// The engine each shard runs (`serial` / `multicore` / …).
-    pub fn inner_engine_name(&self) -> &'static str {
-        self.shards[0].engine_name()
     }
 }
 
-impl<E: RateAllocator> TickDriver for ShardedService<E> {
-    fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
-        ShardedService::on_message(self, msg)
-    }
-
-    fn tick(&mut self) -> Vec<(u16, Message)> {
-        ShardedService::tick(self)
-    }
-
-    fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
-        ShardedService::try_tick(self)
-    }
-
-    fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
-        ShardedService::flow_rate_gbps(self, token)
-    }
-
-    fn active_flows(&self) -> usize {
-        ShardedService::active_flows(self)
-    }
-
-    fn stats(&self) -> ServiceStats {
-        ShardedService::stats(self)
-    }
-
-    fn phase_timings(&self) -> PhaseTimings {
-        ShardedService::phase_timings(self)
-    }
-
-    fn link_loads(&self) -> Vec<f64> {
-        ShardedService::link_loads(self)
-    }
-
-    fn fabric(&self) -> &TwoTierClos {
-        ShardedService::fabric(self)
-    }
-
-    fn engine_name(&self) -> &'static str {
-        "sharded"
-    }
-}
-
-/// One shard's phase-1 work: tick, and on exchange rounds export its link
-/// state into the slot's reusable buffers. Runs with no shared state —
-/// concurrently on pool slots or sequentially on the caller, with
-/// identical results.
-fn tick_shard<E: RateAllocator>(
-    shard: &mut AllocatorService<E>,
-    slot: &mut ShardSlot,
-    export: bool,
-) {
-    slot.updates = shard.tick();
+/// One shard's phase-1 work: tick into the router's stream slot, and on
+/// exchange rounds export its link state into the reusable buffers. Runs
+/// with no shared state — concurrently on pool slots or sequentially on
+/// the caller, with identical results.
+fn tick_shard<E: RateAllocator>(item: &mut ShardItem<'_, E>, export: bool) {
+    let (shard, (slot, stream)) = item;
+    **stream = shard.tick();
     if export {
         shard.link_loads_into(&mut slot.loads);
         shard.link_hessians_into(&mut slot.hessians);
@@ -865,68 +489,21 @@ fn tick_shard<E: RateAllocator>(
     }
 }
 
-fn update_token(msg: &Message) -> Token {
-    match msg {
-        Message::RateUpdate { token, .. }
-        | Message::FlowletStart { token, .. }
-        | Message::FlowletEnd { token } => *token,
-    }
-}
-
-/// K-way merge of token-ordered update streams via a min-heap of stream
-/// heads: `O(total · log k)` where the previous implementation re-scanned
-/// every stream head per emitted element (`O(total · k)` — quadratic in
-/// the per-tick update volume once the shard count grows). Token sets are
-/// disjoint across shards so ties cannot occur; the stream index in the
-/// heap key makes the order deterministic even if a caller violated that.
-/// Public because a distributed peer cluster merges its peers' streams
-/// with exactly the same rule.
-pub fn merge_by_token(mut streams: Vec<Vec<(u16, Message)>>) -> Vec<(u16, Message)> {
-    if streams.len() == 1 {
-        // Single shard: the stream is already the merged order.
-        return streams.pop().expect("len checked");
-    }
-    let mut out = Vec::new();
-    merge_by_token_into(&mut streams, &mut out);
-    out
-}
-
-/// [`merge_by_token`] into a caller-owned buffer: clears `out`, drains
-/// every stream in `streams` (their capacity survives for reuse), and
-/// appends the merged order. A steady-state tick whose streams are all
-/// empty allocates nothing, which is what lets a peer cluster's
-/// `try_tick_into` run alloc-free once rates converge.
-pub fn merge_by_token_into(streams: &mut [Vec<(u16, Message)>], out: &mut Vec<(u16, Message)>) {
-    out.clear();
-    let total: usize = streams.iter().map(Vec::len).sum();
-    if total == 0 {
-        return;
-    }
-    out.reserve(total);
-    if streams.len() == 1 {
-        out.append(&mut streams[0]);
-        return;
-    }
-    let mut iters: Vec<_> = streams.iter_mut().map(|v| v.drain(..).peekable()).collect();
-    let mut heap: BinaryHeap<Reverse<(Token, usize)>> = BinaryHeap::with_capacity(iters.len());
-    for (i, it) in iters.iter_mut().enumerate() {
-        if let Some((_, msg)) = it.peek() {
-            heap.push(Reverse((update_token(msg), i)));
-        }
-    }
-    while let Some(Reverse((_, i))) = heap.pop() {
-        out.push(iters[i].next().expect("heap entry implies a stream head"));
-        if let Some((_, msg)) = iters[i].peek() {
-            heap.push(Reverse((update_token(msg), i)));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowtune_proto::Rate16;
+    use crate::placement::TrafficMatrix;
+    use crate::router::merge_by_token_into;
+    use flowtune_proto::{Rate16, Token};
     use flowtune_topo::ClosConfig;
+
+    fn update_token(msg: &Message) -> Token {
+        match msg {
+            Message::RateUpdate { token, .. }
+            | Message::FlowletStart { token, .. }
+            | Message::FlowletEnd { token } => *token,
+        }
+    }
 
     fn fabric() -> TwoTierClos {
         TwoTierClos::build(ClosConfig::multicore(2, 2, 4)) // 16 servers, 2 blocks
@@ -1055,27 +632,25 @@ mod tests {
                 },
             )
         };
-        let streams = vec![
+        let mut streams = vec![
             vec![upd(3), upd(9), upd(10)],
             vec![],
             vec![upd(1), upd(4)],
             vec![upd(2), upd(5), upd(6), upd(11)],
             vec![upd(7)],
         ];
-        let merged = merge_by_token(streams.clone());
+        let caps: Vec<usize> = streams.iter().map(Vec::capacity).collect();
+        let mut merged = Vec::new();
+        merge_by_token_into(&mut streams, &mut merged);
         let tokens: Vec<u32> = merged.iter().map(|(_, m)| update_token(m).get()).collect();
         assert_eq!(tokens, vec![1, 2, 3, 4, 5, 6, 7, 9, 10, 11]);
-        // The buffer-reuse variant produces the same order, drains the
-        // streams in place, and keeps their capacity for the next tick.
-        let mut streams = streams;
-        let caps: Vec<usize> = streams.iter().map(Vec::capacity).collect();
-        let mut out = Vec::new();
-        merge_by_token_into(&mut streams, &mut out);
-        assert_eq!(out, merged);
+        // The merge drains the streams in place and keeps their capacity
+        // for the next tick.
         assert!(streams.iter().all(Vec::is_empty));
         let kept: Vec<usize> = streams.iter().map(Vec::capacity).collect();
         assert_eq!(kept, caps);
         // All-empty streams leave `out` empty without reallocating it.
+        let mut out = merged.clone();
         merge_by_token_into(&mut streams, &mut out);
         assert!(out.is_empty());
         // The src halves ride along with their messages.
@@ -1083,10 +658,12 @@ mod tests {
             .iter()
             .all(|(s, m)| *s as u32 == update_token(m).get()));
         // Degenerate shapes.
-        assert!(merge_by_token(vec![]).is_empty());
-        assert!(merge_by_token(vec![vec![], vec![]]).is_empty());
-        let single = merge_by_token(vec![vec![upd(5), upd(2)]]);
-        let tokens: Vec<u32> = single.iter().map(|(_, m)| update_token(m).get()).collect();
+        merge_by_token_into(&mut [], &mut out);
+        assert!(out.is_empty());
+        merge_by_token_into(&mut [vec![], vec![]], &mut out);
+        assert!(out.is_empty());
+        merge_by_token_into(&mut [vec![upd(5), upd(2)]], &mut out);
+        let tokens: Vec<u32> = out.iter().map(|(_, m)| update_token(m).get()).collect();
         assert_eq!(tokens, vec![5, 2], "single stream passes through as-is");
     }
 
@@ -1329,7 +906,7 @@ mod tests {
     #[should_panic(expected = "same shard count")]
     fn replace_rejects_a_mismatched_shard_count() {
         let mut svc = sharded(2);
-        svc.replace(crate::Placement::contiguous(16, 3));
+        let _ = svc.replace(crate::Placement::contiguous(16, 3));
     }
 
     #[test]
@@ -1355,7 +932,7 @@ mod tests {
         // A signal-free traffic placement falls back to contiguous — a
         // no-op replace that migrates nothing.
         let fallback = crate::Placement::traffic(16, 8, 2, &TrafficMatrix::new(2), false);
-        assert_eq!(svc.replace(fallback), 0);
+        assert_eq!(svc.replace(fallback), Ok(0));
         // Now actually move everything: over two 8-server units, a matrix
         // that makes unit 1 the heavy anchor lands it in shard 0 —
         // reversing the contiguous ranges.
@@ -1365,7 +942,7 @@ mod tests {
         let reversed = crate::Placement::traffic(16, 8, 2, &m, false);
         assert_eq!(reversed.shard_of(8), 0, "heavy rack 1 anchors shard 0");
         assert_eq!(reversed.shard_of(0), 1);
-        let moved = svc.replace(reversed);
+        let moved = svc.replace(reversed).unwrap();
         assert_eq!(moved, 2, "both flows changed shards");
         assert_eq!(svc.shard_for_token(Token::new(1)), Some(1));
         assert_eq!(svc.shard_for_token(Token::new(2)), Some(0));

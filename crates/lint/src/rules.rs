@@ -130,8 +130,12 @@ pub const HOT_MODULES: &[HotModule] = &[
         ],
     },
     HotModule {
+        path: "crates/core/src/router.rs",
+        hot_fns: &["tick", "try_tick", "try_tick_into"],
+    },
+    HotModule {
         path: "crates/core/src/sharded.rs",
-        hot_fns: &["tick", "try_tick", "exchange_link_state"],
+        hot_fns: &["tick", "tick_shard", "exchange_link_state"],
     },
     HotModule {
         path: "crates/core/src/driver.rs",
@@ -151,7 +155,6 @@ pub const HOT_MODULES: &[HotModule] = &[
             "tick_export",
             "exchange_finish",
             "collect_slot",
-            "tick_into",
             "broadcast_frame_buf",
         ],
     },
@@ -161,7 +164,7 @@ pub const HOT_MODULES: &[HotModule] = &[
     },
     HotModule {
         path: "crates/net/src/cluster.rs",
-        hot_fns: &["try_tick", "try_tick_into", "tick"],
+        hot_fns: &["tick"],
     },
 ];
 
@@ -205,8 +208,12 @@ pub const PANIC_SCOPES: &[PanicScope] = &[
         ],
     },
     PanicScope {
-        path: "crates/net/src/cluster.rs",
+        path: "crates/core/src/router.rs",
         fns: &["try_tick", "try_tick_into"],
+    },
+    PanicScope {
+        path: "crates/net/src/cluster.rs",
+        fns: &["tick", "migrate"],
     },
     PanicScope {
         path: "crates/core/src/exchange.rs",
@@ -222,6 +229,7 @@ pub const FLOAT_DET_FILES: &[&str] = &[
     "crates/alloc/src/gradient.rs",
     "crates/alloc/src/parallel.rs",
     "crates/core/src/service.rs",
+    "crates/core/src/router.rs",
     "crates/core/src/sharded.rs",
     "crates/core/src/exchange.rs",
     "crates/net/src/peer.rs",

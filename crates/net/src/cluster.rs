@@ -1,240 +1,61 @@
-//! A whole distributed control plane driven in lockstep from one
-//! thread: the [`TickDriver`] face over a set of [`ShardPeer`]s.
+//! The wire backend of the sharded control plane: [`PeerCluster`] is
+//! the core crate's [`ShardRouter`] over a set of [`ShardPeer`]s driven
+//! in lockstep from one thread.
 //!
-//! [`PeerCluster`] replicates the in-process `ShardedService` routing
-//! layer exactly — `FlowletStart`s route by source endpoint through a
-//! [`Placement`], token-addressed messages follow a token→peer table,
-//! duplicates and strays are disposed of (and counted) at the routing
-//! layer — while the exchange itself runs through each peer's
-//! [`Transport`]. Over the in-memory transport the whole construction
-//! is **bit-for-bit identical** to `ShardedService`: same update
-//! streams, same rates, same stats (pinned by the repository's sharded
-//! equivalence tests). Over sockets it is the single-process harness
-//! the benches use to price the wire.
+//! The router — routing by source endpoint through a `Placement`,
+//! token→shard routing, routing-layer accounting, the observed traffic
+//! matrix, the stream merge, re-placement epochs and stats aggregation —
+//! is the very code the in-process `ShardedService` runs. This backend
+//! only supplies what is wire-specific: each shard is a peer with its
+//! own [`Transport`], a tick is split-phase across the peers — every
+//! peer runs its allocator tick and broadcast before any peer's barrier
+//! and install — so peers never deadlock waiting for a frame a later
+//! peer has not produced yet, and the lockstep schedule reproduces the
+//! in-process barrier. Migrations of a re-placement epoch travel in
+//! epoch frames. Over the in-memory transport the construction is
+//! **bit-for-bit identical** to `ShardedService`, re-placement epochs
+//! included: same update streams, same rates, same stats (pinned by the
+//! repository's sharded equivalence tests). Over sockets it is the
+//! single-process harness the benches use to price the wire.
 //!
-//! A cluster tick is split-phase across the peers — every peer runs
-//! [`ShardPeer::begin_round`] (tick + broadcast) before any peer's
-//! [`ExchangeRound`](crate::ExchangeRound) is finished (collect + install) — so peers never
-//! deadlock waiting for a frame a later peer has not produced yet, and
-//! the lockstep schedule reproduces the in-process barrier.
+//! A failed peer never panics through [`TickDriver::try_tick`]: the
+//! tick returns [`ServiceError::PeerFailed`] naming the shard.
+//!
+//! [`TickDriver::try_tick`]: flowtune::TickDriver::try_tick
 
-use std::collections::HashMap;
+use std::time::Duration;
 
 use flowtune::{
-    merge_by_token_into, FlowMigration, Placement, ServiceError, ServiceStats, TickDriver,
+    AllocatorService, FlowMigration, ServiceError, ServiceStats, ShardBackend, ShardRouter,
 };
 use flowtune_alloc::{RateAllocator, SerialAllocator};
-use flowtune_proto::{Message, Token};
-use flowtune_topo::TwoTierClos;
+use flowtune_proto::Message;
 
 use crate::peer::{PeerError, PeerLag, ShardPeer, WireStats};
 use crate::transport::Transport;
 
-/// N [`ShardPeer`]s behind one [`TickDriver`] face (see the module
-/// docs).
+/// N [`ShardPeer`]s behind one `TickDriver` face: the [`ShardRouter`]
+/// over the [`WireBackend`] (see the module docs).
+pub type PeerCluster<T, E = SerialAllocator> = ShardRouter<WireBackend<T, E>>;
+
+/// The wire exchange backend behind [`PeerCluster`]: one [`ShardPeer`]
+/// per shard, in shard order.
 #[derive(Debug)]
-pub struct PeerCluster<T: Transport, E: RateAllocator = SerialAllocator> {
+pub struct WireBackend<T: Transport, E: RateAllocator = SerialAllocator> {
     peers: Vec<ShardPeer<T, E>>,
-    /// token → peer, for `FlowletEnd` routing and rate queries.
-    route: HashMap<Token, u32>,
-    placement: Placement,
-    /// Routing-layer counters (duplicates, unknown ends, strays) —
-    /// identical to the in-process routing layer's share of the stats.
-    local: ServiceStats,
-    /// Monotonic placement-epoch counter for [`PeerCluster::replace`].
+    /// Monotonic placement-epoch counter for the epoch frames.
     epoch: u64,
-    /// Per-peer update-stream scratch, reused across ticks so a quiet
-    /// tick allocates nothing.
-    streams: Vec<Vec<(u16, Message)>>,
 }
 
-impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
-    /// Assemble a cluster from peers under the default contiguous
-    /// placement. Peers must arrive in shard order and agree with
-    /// their transports on the cluster size.
-    ///
-    /// # Panics
-    /// Panics if `peers` is empty or a peer's shard id or peer count
-    /// disagrees with its position.
-    pub fn from_peers(peers: Vec<ShardPeer<T, E>>) -> Self {
-        assert!(!peers.is_empty(), "a cluster needs at least one peer");
-        let servers = peers[0].service().fabric().config().server_count();
-        let placement = Placement::contiguous(servers, peers.len());
-        Self::with_placement(peers, placement)
+/// The typed tick error for a failure at peer `shard`.
+fn failed(shard: usize) -> impl Fn(PeerError) -> ServiceError {
+    move |e| ServiceError::PeerFailed {
+        shard,
+        kind: e.kind(),
     }
+}
 
-    /// [`PeerCluster::from_peers`] with an explicit endpoint→shard
-    /// [`Placement`].
-    ///
-    /// # Panics
-    /// Panics if `peers` is empty, a peer disagrees with its position
-    /// or the cluster size, or the placement's shape does not match.
-    pub fn with_placement(peers: Vec<ShardPeer<T, E>>, placement: Placement) -> Self {
-        assert!(!peers.is_empty(), "a cluster needs at least one peer");
-        for (i, peer) in peers.iter().enumerate() {
-            assert_eq!(
-                usize::from(peer.shard()),
-                i,
-                "peer {i} claims shard {}",
-                peer.shard()
-            );
-            assert_eq!(
-                peer.peers(),
-                peers.len(),
-                "peer {i}'s transport spans {} peers, cluster has {}",
-                peer.peers(),
-                peers.len()
-            );
-        }
-        let servers = peers[0].service().fabric().config().server_count();
-        assert_eq!(
-            placement.servers(),
-            servers,
-            "placement must cover exactly the fabric's servers"
-        );
-        assert_eq!(
-            placement.shard_count(),
-            peers.len(),
-            "placement must map onto exactly the cluster's peers"
-        );
-        let streams = peers.iter().map(|_| Vec::new()).collect();
-        PeerCluster {
-            peers,
-            route: HashMap::new(),
-            placement,
-            local: ServiceStats::default(),
-            epoch: 0,
-            streams,
-        }
-    }
-
-    /// Number of peers (= shards).
-    pub fn shard_count(&self) -> usize {
-        self.peers.len()
-    }
-
-    /// Read access to the peers, in shard order.
-    pub fn peers(&self) -> &[ShardPeer<T, E>] {
-        &self.peers
-    }
-
-    /// The endpoint→shard mapping currently routing `FlowletStart`s.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// The peer an active flowlet is registered with.
-    pub fn shard_for_token(&self, token: Token) -> Option<usize> {
-        self.route.get(&token).map(|&s| s as usize)
-    }
-
-    /// One lockstep tick of the whole cluster: every peer ticks and
-    /// broadcasts, then every peer runs its exchange barrier and
-    /// installs, then the per-peer update streams are k-way merged into
-    /// one token-ordered stream (same merge as the in-process service).
-    ///
-    /// # Errors
-    /// The first [`PeerError`] encountered; the tick's update stream is
-    /// dropped.
-    pub fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, PeerError> {
-        // flowtune-lint: allow(hot-path-alloc, "owned-stream convenience entry; steady-state drivers use try_tick_into")
-        let mut out = Vec::new();
-        self.try_tick_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`PeerCluster::try_tick`] into a caller-owned buffer: `out` is
-    /// cleared and receives the merged update stream. In the converged
-    /// steady state (no updates) this allocates nothing.
-    ///
-    /// # Errors
-    /// The first [`PeerError`] encountered; the tick's update stream is
-    /// dropped.
-    pub fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
-        out.clear();
-        for (peer, stream) in self.peers.iter_mut().zip(self.streams.iter_mut()) {
-            stream.clear();
-            let mut updates = peer.tick_export()?;
-            stream.append(&mut updates);
-        }
-        for peer in &mut self.peers {
-            peer.exchange_finish()?;
-        }
-        merge_by_token_into(&mut self.streams, out);
-        Ok(())
-    }
-
-    /// Installs a new [`Placement`] — a distributed **re-placement
-    /// epoch**. Each peer extracts the flows the new placement takes
-    /// from it (ascending token order) and broadcasts them in an epoch
-    /// frame; every peer gathers the frames, adopts the migrations
-    /// addressed to it (ascending token order), and marks its exchange
-    /// for a catch-up resync. Functionally equivalent to the
-    /// in-process `ShardedService::replace` — migrated flows re-enter
-    /// at the initial rate and re-converge under their new shard's
-    /// prices — though not bit-for-bit (extraction interleaves per
-    /// peer, not in one global token order). Returns the number of
-    /// flows migrated.
-    ///
-    /// # Errors
-    /// A [`PeerError`]; an epoch is a barrier, so a missing peer frame
-    /// is an error, not a late round.
-    ///
-    /// # Panics
-    /// Panics if the placement's shape does not match this cluster.
-    pub fn replace(&mut self, placement: Placement) -> Result<usize, PeerError> {
-        assert_eq!(
-            placement.servers(),
-            self.placement.servers(),
-            "replacement must cover the same server space"
-        );
-        assert_eq!(
-            placement.shard_count(),
-            self.peers.len(),
-            "replacement must map onto the same peer count"
-        );
-        self.epoch += 1;
-        // flowtune-lint: allow(float-determinism, "snapshot is sorted by token before any flow moves")
-        let mut tokens: Vec<(Token, u32)> = self.route.iter().map(|(&t, &s)| (t, s)).collect();
-        tokens.sort_unstable_by_key(|&(t, _)| t);
-        let mut leavers: Vec<Vec<(FlowMigration, u16)>> = vec![Vec::new(); self.peers.len()];
-        let mut moved = 0;
-        for (token, old) in tokens {
-            let src = self.peers[old as usize]
-                .service()
-                .flow_source(token)
-                .expect("routed token must be registered with its peer");
-            let new = placement.shard_of(src) as u32;
-            if new == old {
-                continue;
-            }
-            let migration = self.peers[old as usize]
-                .service_mut()
-                .extract_flow(token)
-                .expect("routed token must be extractable");
-            leavers[old as usize].push((migration, new as u16));
-            self.route.insert(token, new);
-            moved += 1;
-        }
-        let epoch = self.epoch;
-        for (peer, leaving) in self.peers.iter_mut().zip(&leavers) {
-            peer.broadcast_epoch(epoch, leaving)?;
-        }
-        let mut adopt = Vec::new();
-        for peer in &mut self.peers {
-            adopt.clear();
-            peer.gather_epoch(&mut adopt)?;
-            adopt.sort_unstable_by_key(|m| m.token);
-            for m in adopt.drain(..) {
-                peer.service_mut()
-                    .adopt_flow(m)
-                    .expect("tokens are unique across peers");
-            }
-        }
-        self.placement = placement;
-        Ok(moved)
-    }
-
+impl<T: Transport, E: RateAllocator> WireBackend<T, E> {
     /// The peers' on-wire transport counters: totals summed, plus the
     /// cluster-level staleness view — one [`PeerLag`] per shard, with
     /// `rounds_behind`/`last_fresh_round` the worst any other peer
@@ -270,122 +91,100 @@ impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
     }
 }
 
-impl<T: Transport, E: RateAllocator> TickDriver for PeerCluster<T, E> {
-    fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
-        match msg {
-            Message::FlowletStart { token, src, .. } => {
-                if self.route.contains_key(&token) {
-                    // Cross-shard duplicate detection lives here — the
-                    // original may be registered with a different peer
-                    // than the one `src` routes to.
-                    self.local.bytes_in += msg.encoded_len() as u64;
-                    self.local.rejected += 1;
-                    return Err(ServiceError::DuplicateToken(token));
-                }
-                let shard = self.placement.shard_of(src);
-                self.peers[shard].on_message(msg)?;
-                self.route.insert(token, shard as u32);
-                Ok(())
-            }
-            Message::FlowletEnd { token } => match self.route.remove(&token) {
-                Some(shard) => self.peers[shard as usize].on_message(msg),
-                None => {
-                    self.local.bytes_in += msg.encoded_len() as u64;
-                    Ok(())
-                }
-            },
-            Message::RateUpdate { .. } => {
-                self.local.bytes_in += msg.encoded_len() as u64;
-                self.local.rejected += 1;
-                Err(ServiceError::UnexpectedRateUpdate)
-            }
-        }
-    }
+impl<T: Transport, E: RateAllocator> ShardBackend for WireBackend<T, E> {
+    type Shard = ShardPeer<T, E>;
+    type Engine = E;
+    const NAME: &'static str = "peer-cluster";
 
     /// # Panics
-    /// Panics on a peer failure; use [`PeerCluster::try_tick`] for an
-    /// error instead.
-    fn tick(&mut self) -> Vec<(u16, Message)> {
-        match self.try_tick() {
-            Ok(updates) => updates,
-            Err(e) => panic!("cluster peer failed: {e}"),
+    /// Panics if `peers` is empty or a peer's shard id or transport's
+    /// peer count disagrees with its position in the cluster.
+    fn from_shards(peers: Vec<ShardPeer<T, E>>) -> Self {
+        assert!(!peers.is_empty(), "a cluster needs at least one peer");
+        for (i, peer) in peers.iter().enumerate() {
+            let shard = usize::from(peer.shard());
+            assert_eq!(shard, i, "peer {i} claims shard {shard}");
+            assert_eq!(
+                peer.peers(),
+                peers.len(),
+                "peer {i}'s transport spans {} peers, cluster has {}",
+                peer.peers(),
+                peers.len()
+            );
         }
+        WireBackend { peers, epoch: 0 }
     }
 
-    fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
-        let &shard = self.route.get(&token)?;
-        self.peers[shard as usize].service().flow_rate_gbps(token)
+    fn shards(&self) -> &[ShardPeer<T, E>] {
+        &self.peers
     }
 
-    fn active_flows(&self) -> usize {
-        self.route.len()
+    fn service(&self, shard: usize) -> &AllocatorService<E> {
+        self.peers[shard].service()
     }
 
-    fn stats(&self) -> ServiceStats {
-        let mut total = self.local;
-        // Exchange rounds are a cluster-wide event every peer counts
-        // once; the in-process service counts them once in total, so
-        // aggregate as the max, while logical bytes — each peer's own
-        // out + in share — sum, exactly as the in-process install loop
-        // sums them.
-        let mut rounds = 0;
-        for peer in &self.peers {
-            let ServiceStats {
-                starts,
-                ends,
-                updates_sent,
-                updates_suppressed,
-                bytes_in,
-                bytes_out,
-                iterations,
-                rejected,
-                exchange_rounds,
-                exchange_bytes,
-                exchange_decode_errors,
-                dirty_flows,
-                dirty_links,
-            } = peer.stats();
-            total.starts += starts;
-            total.ends += ends;
-            total.updates_sent += updates_sent;
-            total.updates_suppressed += updates_suppressed;
-            total.bytes_in += bytes_in;
-            total.bytes_out += bytes_out;
-            total.iterations += iterations;
-            total.rejected += rejected;
-            total.exchange_bytes += exchange_bytes;
-            total.exchange_decode_errors += exchange_decode_errors;
-            total.dirty_flows += dirty_flows;
-            total.dirty_links += dirty_links;
-            rounds = rounds.max(exchange_rounds);
+    fn service_mut(&mut self, shard: usize) -> &mut AllocatorService<E> {
+        self.peers[shard].service_mut()
+    }
+
+    /// Begin-all, then finish-all: every peer ticks and broadcasts, then
+    /// every peer runs its exchange barrier and installs.
+    fn tick(&mut self, streams: &mut [Vec<(u16, Message)>]) -> Result<(), ServiceError> {
+        for (i, (peer, stream)) in self.peers.iter_mut().zip(streams).enumerate() {
+            *stream = peer.tick_export().map_err(failed(i))?;
         }
-        total.exchange_rounds += rounds;
-        total
+        for (i, peer) in self.peers.iter_mut().enumerate() {
+            peer.exchange_finish().map_err(failed(i))?;
+        }
+        Ok(())
     }
 
-    fn link_loads(&self) -> Vec<f64> {
-        let exports: Vec<Vec<f64>> = self
-            .peers
-            .iter()
-            .map(|p| p.service().link_loads())
-            .collect();
-        let n_links = exports.iter().map(Vec::len).max().unwrap_or(0);
-        let mut total = vec![0.0; n_links];
-        for export in exports.iter().filter(|e| !e.is_empty()) {
-            debug_assert_eq!(export.len(), n_links, "short peer export");
-            for (acc, x) in total.iter_mut().zip(export) {
-                *acc += x;
+    /// Each peer broadcasts an epoch frame carrying its leaving flows;
+    /// then every peer gathers the frames and adopts the flows addressed
+    /// to it. An epoch is a barrier, so a missing peer frame is an
+    /// error, not a late round.
+    fn migrate(&mut self, moves: &[(usize, usize, FlowMigration)]) -> Result<(), ServiceError> {
+        self.epoch += 1;
+        let mut batch = Vec::new();
+        for (i, peer) in self.peers.iter_mut().enumerate() {
+            batch.clear();
+            batch.extend(
+                moves
+                    .iter()
+                    .filter(|m| m.0 == i)
+                    .map(|&(_, to, flow)| (flow, to as u16)),
+            );
+            peer.broadcast_epoch(self.epoch, &batch)
+                .map_err(failed(i))?;
+        }
+        let mut adopt = Vec::new();
+        for (i, peer) in self.peers.iter_mut().enumerate() {
+            adopt.clear();
+            peer.gather_epoch(&mut adopt).map_err(failed(i))?;
+            adopt.sort_unstable_by_key(|m| m.token);
+            for &m in &adopt {
+                peer.service_mut().adopt_flow(m)?;
             }
         }
+        Ok(())
+    }
+
+    /// Exchange rounds are a cluster-wide event every peer counts once,
+    /// so they aggregate as the max; logical bytes — each peer's own out
+    /// + in share — and decode errors sum.
+    fn exchange_stats(&self) -> ServiceStats {
+        let mut total = ServiceStats::default();
+        for peer in &self.peers {
+            let s = peer.exchange_stats();
+            total.exchange_rounds = total.exchange_rounds.max(s.exchange_rounds);
+            total.exchange_bytes += s.exchange_bytes;
+            total.exchange_decode_errors += s.exchange_decode_errors;
+        }
         total
     }
 
-    fn fabric(&self) -> &TwoTierClos {
-        self.peers[0].service().fabric()
-    }
-
-    fn engine_name(&self) -> &'static str {
-        "peer-cluster"
+    fn exchange_time(&self) -> Duration {
+        self.peers.iter().map(ShardPeer::exchange_time).sum()
     }
 }
 
@@ -393,11 +192,12 @@ impl<T: Transport, E: RateAllocator> TickDriver for PeerCluster<T, E> {
 mod tests {
     use std::time::Duration;
 
-    use flowtune::{AllocatorService, ExchangeConfig, FlowtuneConfig, ShardedService};
+    use flowtune::{ExchangeConfig, FlowtuneConfig, Placement, ShardedService};
+    use flowtune_proto::Token;
     use flowtune_topo::{ClosConfig, TwoTierClos};
 
     use super::*;
-    use crate::transport::mem_mesh;
+    use crate::transport::{mem_mesh, MemReceiver, MemSender, MemTransport, Sender};
 
     fn fabric() -> TwoTierClos {
         TwoTierClos::build(ClosConfig::multicore(2, 2, 4))
@@ -457,7 +257,7 @@ mod tests {
             );
         }
         assert_eq!(reference.stats(), distributed.stats());
-        let wire = distributed.wire_stats();
+        let wire = distributed.backend().wire_stats();
         assert!(wire.tx_bytes > 0, "frames crossed the transport");
         assert_eq!(wire.tx_frames, wire.rx_frames, "lockstep loses nothing");
         assert_eq!(wire.late_rounds, 0);
@@ -539,6 +339,99 @@ mod tests {
         let st = c.stats();
         assert_eq!(st.exchange_rounds, 0);
         assert_eq!(st.exchange_bytes, 0);
-        assert_eq!(c.wire_stats().tx_frames, 0);
+        assert_eq!(c.backend().wire_stats().tx_frames, 0);
+    }
+
+    /// A mem transport whose sender fails once it has shipped `budget`
+    /// frames — a peer whose link dies mid-run.
+    #[derive(Debug)]
+    struct Flaky {
+        inner: MemTransport,
+        budget: u64,
+    }
+
+    #[derive(Debug)]
+    struct FlakySender {
+        inner: MemSender,
+        budget: u64,
+    }
+
+    impl Transport for Flaky {
+        type Tx = FlakySender;
+        type Rx = MemReceiver;
+
+        fn shard(&self) -> u16 {
+            self.inner.shard()
+        }
+
+        fn peers(&self) -> usize {
+            self.inner.peers()
+        }
+
+        fn split(self) -> std::io::Result<(FlakySender, Vec<MemReceiver>)> {
+            let (inner, rxs) = self.inner.split()?;
+            let budget = self.budget;
+            Ok((FlakySender { inner, budget }, rxs))
+        }
+    }
+
+    impl Sender for FlakySender {
+        fn shard(&self) -> u16 {
+            self.inner.shard()
+        }
+
+        fn peers(&self) -> usize {
+            self.inner.peers()
+        }
+
+        fn send(&mut self, to: u16, frame: &[u8]) -> std::io::Result<u64> {
+            if self.budget == 0 {
+                let kind = std::io::ErrorKind::BrokenPipe;
+                return Err(std::io::Error::new(kind, "injected link failure"));
+            }
+            self.budget -= 1;
+            self.inner.send(to, frame)
+        }
+    }
+
+    #[test]
+    fn a_failed_peer_is_a_typed_tick_error_not_a_panic() {
+        // Shard 1's sender dies after three frames — one per exchange
+        // round at this cadence — so the fourth tick's broadcast fails.
+        let f = fabric();
+        let cfg = FlowtuneConfig {
+            exchange_every: 1,
+            ..FlowtuneConfig::default()
+        };
+        let exchange = ExchangeConfig::from_flowtune(&cfg).round_timeout(Duration::from_secs(5));
+        let peers = mem_mesh(2)
+            .into_iter()
+            .zip([u64::MAX, 3])
+            .map(|(inner, budget)| {
+                let t = Flaky { inner, budget };
+                ShardPeer::new(AllocatorService::new(&f, cfg), t, exchange)
+                    .expect("mem transport splits infallibly")
+            })
+            .collect();
+        let mut c: PeerCluster<Flaky> = PeerCluster::from_peers(peers);
+        c.on_message(start(1, 0, 12)).unwrap();
+        c.on_message(start(2, 8, 4)).unwrap();
+        for _ in 0..3 {
+            assert!(flowtune::TickDriver::try_tick(&mut c).is_ok());
+        }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            flowtune::TickDriver::try_tick(&mut c)
+        }));
+        let err = outcome
+            .expect("a failed peer must not panic through try_tick")
+            .expect_err("the dead link must fail the tick");
+        assert_eq!(
+            err,
+            ServiceError::PeerFailed {
+                shard: 1,
+                kind: std::io::ErrorKind::BrokenPipe,
+            }
+        );
+        assert!(err.to_string().contains("shard 1"), "{err}");
     }
 }

@@ -29,10 +29,11 @@
 //!   awaited again so the lag stays bounded. Stale rounds install from
 //!   last-shipped state; per-peer [`PeerLag`] (current and peak
 //!   `rounds_behind`) is surfaced through [`WireStats`].
-//! * [`PeerCluster`] — a `TickDriver` over a set of peers, replicating
-//!   the in-process routing layer exactly; when every frame is on time
-//!   it is bit-for-bit identical to `ShardedService`, over every
-//!   transport.
+//! * [`PeerCluster`] — the core crate's `ShardRouter` over a set of
+//!   peers ([`WireBackend`]): the same routing layer the in-process
+//!   `ShardedService` runs, with the exchange on the wire. When every
+//!   frame is on time it is bit-for-bit identical to `ShardedService`,
+//!   over every transport.
 //! * `flowtune-arbiterd` (this crate's binary) — one shard peer per
 //!   process, plus a `--demo` launcher that spawns an N-process
 //!   cluster, checks it converges to the unsharded optimum, reports
@@ -48,7 +49,7 @@ pub mod pool;
 pub mod runtime;
 pub mod transport;
 
-pub use cluster::PeerCluster;
+pub use cluster::{PeerCluster, WireBackend};
 pub use peer::{ExchangeRound, PeerError, PeerLag, ShardPeer, WireStats};
 pub use pool::BufferPool;
 pub use runtime::{Polled, RecvRuntime};

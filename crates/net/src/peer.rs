@@ -38,7 +38,7 @@
 //! per-peer receive/staleness breakdown.
 
 use std::io;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use flowtune::{
     AllocatorService, ExchangeConfig, ExchangeCore, FlowMigration, ServiceError, ServiceStats,
@@ -118,15 +118,22 @@ impl std::error::Error for PeerError {
     }
 }
 
-impl From<PeerError> for io::Error {
-    fn from(e: PeerError) -> io::Error {
-        let kind = match &e {
+impl PeerError {
+    /// The failure's I/O class — what the `io::Error` shim carries, and
+    /// what a `ServiceError::PeerFailed` reports.
+    pub(crate) fn kind(&self) -> io::ErrorKind {
+        match self {
             PeerError::Transport { error, .. } => io::Error::from(*error).kind(),
             PeerError::Io { error, .. } | PeerError::Setup { error } => error.kind(),
             PeerError::EpochTimeout { .. } => io::ErrorKind::TimedOut,
             PeerError::ReceiverGone { .. } => io::ErrorKind::BrokenPipe,
-        };
-        io::Error::new(kind, e)
+        }
+    }
+}
+
+impl From<PeerError> for io::Error {
+    fn from(e: PeerError) -> io::Error {
+        io::Error::new(e.kind(), e)
     }
 }
 
@@ -258,6 +265,9 @@ pub struct ShardPeer<T: Transport, E: RateAllocator = SerialAllocator> {
     tx_bytes: u64,
     tx_frames: u64,
     late_rounds: u64,
+    /// Cumulative wall time of completed exchange phases: frame encode
+    /// and broadcast, barrier wait and install.
+    exchange_time: Duration,
 }
 
 impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
@@ -303,6 +313,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             tx_bytes: 0,
             tx_frames: 0,
             late_rounds: 0,
+            exchange_time: Duration::ZERO,
         })
     }
 
@@ -379,6 +390,12 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
         self.local
     }
 
+    /// Cumulative wall time this peer spent in exchange rounds: frame
+    /// encode and broadcast, plus barrier wait and install.
+    pub fn exchange_time(&self) -> Duration {
+        self.exchange_time
+    }
+
     /// The service's counters plus this peer's exchange counters — the
     /// per-shard slice of what `ShardedService::stats` reports for the
     /// whole in-process cluster.
@@ -418,20 +435,6 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
         self.begin_round()?.finish()
     }
 
-    /// [`ShardPeer::tick`] into a caller-owned buffer: `out` is cleared
-    /// and receives the tick's rate-update stream. In the converged
-    /// steady state (no updates) this allocates nothing.
-    ///
-    /// # Errors
-    /// Either phase's [`PeerError`]; `out` holds the tick's updates
-    /// even when the barrier fails.
-    pub fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
-        out.clear();
-        let mut updates = self.tick_export()?;
-        out.append(&mut updates);
-        self.exchange_finish()
-    }
-
     /// Phase 1: catch up an unfinished round, tick the service, and
     /// when a round is due, export + broadcast.
     pub(crate) fn tick_export(&mut self) -> Result<Vec<(u16, Message)>, PeerError> {
@@ -448,6 +451,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             self.svc.link_loads_into(&mut self.loads);
             self.svc.link_hessians_into(&mut self.hessians);
             self.svc.link_prices_into(&mut self.prices);
+            let t0 = Instant::now();
             self.frame_buf.clear();
             self.core.begin_round(
                 self.ticks,
@@ -457,6 +461,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
                 &mut self.frame_buf,
             );
             self.broadcast_frame_buf()?;
+            self.exchange_time += t0.elapsed();
         }
         Ok(updates)
     }
@@ -471,6 +476,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             return Ok(());
         }
         self.round_due = false;
+        let t0 = Instant::now();
         let target = self.ticks;
         for slot in 0..self.lag.len() {
             self.collect_slot(slot, target)?;
@@ -479,6 +485,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             self.local.exchange_rounds += 1;
             self.local.exchange_bytes += bytes;
         }
+        self.exchange_time += t0.elapsed();
         Ok(())
     }
 
@@ -579,8 +586,8 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
 
     /// Announce a placement epoch: broadcast an epoch frame carrying
     /// this shard's leaving flows (each with the shard that adopts it)
-    /// and mark the exchange for a catch-up resync, exactly as the
-    /// in-process `ShardedService::replace` does. The counterpart
+    /// and mark the exchange for a catch-up resync, as every
+    /// re-placement epoch does (`ShardRouter::replace`). The counterpart
     /// [`ShardPeer::gather_epoch`] must run on every peer.
     ///
     /// # Errors

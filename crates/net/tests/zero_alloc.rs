@@ -211,7 +211,7 @@ fn steady_state_allocator_tick_allocates_nothing() {
 fn steady_state_peer_cluster_tick_allocates_nothing() {
     use std::time::Duration;
 
-    use flowtune::{ExchangeConfig, TickDriver};
+    use flowtune::ExchangeConfig;
     use flowtune_net::{mem_mesh, PeerCluster, ShardPeer};
     use flowtune_topo::FlowId;
 

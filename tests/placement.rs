@@ -302,7 +302,7 @@ fn same_matrix_and_seed_give_identical_placement_and_replace_streams() {
         for _ in 0..50 {
             svc.tick();
         }
-        let moved = svc.replace(placement);
+        let moved = svc.replace(placement).unwrap();
         assert!(moved > 0, "the affine placement must move flows");
         let streams: Vec<_> = (0..100).map(|_| svc.tick()).collect();
         (streams, svc.stats())
@@ -367,7 +367,7 @@ fn online_epoch_learns_the_workload_and_cuts_the_exchange() {
             "rack {rack} not grouped with its class"
         );
     }
-    let moved = svc.replace(placement);
+    let moved = svc.replace(placement).unwrap();
     assert!(moved > 0);
 
     // Epoch 2: same churn schedule length; let the migration transient

@@ -115,7 +115,7 @@ fn the_partitioned_planes_match_bit_for_bit_on_collective_churn() {
             &mut cluster,
             StatsCheck::Exact,
         );
-        let wire = cluster.wire_stats();
+        let wire = cluster.backend().wire_stats();
         assert!(wire.tx_bytes > 0, "no bytes on the mem wire");
         assert_eq!(wire.tx_frames, wire.rx_frames);
         assert_eq!(wire.late_rounds, 0);

@@ -19,6 +19,8 @@ mod common;
 
 use common::{assert_bit_for_bit, fabric, start, Replay, StatsCheck};
 use flowtune::{AllocatorService, FlowtuneConfig, ShardedService};
+use std::time::Duration;
+
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 use proptest::prelude::*;
@@ -247,7 +249,7 @@ fn mem_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
                 );
                 // Real frames moved through the transport whenever an
                 // exchange could have happened.
-                let wire = cluster.wire_stats();
+                let wire = cluster.backend().wire_stats();
                 if shards > 1 {
                     assert!(wire.tx_bytes > 0, "no bytes on the mem wire");
                     assert_eq!(wire.tx_frames, wire.rx_frames);
@@ -303,10 +305,129 @@ fn uds_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
                 &mut cluster,
                 StatsCheck::Exact,
             );
-            let wire = cluster.wire_stats();
+            let wire = cluster.backend().wire_stats();
             assert!(wire.tx_bytes > 0, "no bytes on the uds wire");
             assert_eq!(wire.late_rounds, 0, "on-time frames must never be late");
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// `shards` serial shards as a mem-transport [`flowtune_net::PeerCluster`].
+fn mem_cluster(
+    fabric: &TwoTierClos,
+    cfg: FlowtuneConfig,
+    shards: usize,
+) -> flowtune_net::PeerCluster<flowtune_net::MemTransport> {
+    let exchange = flowtune::ExchangeConfig::from_flowtune(&cfg)
+        .round_timeout(std::time::Duration::from_secs(5));
+    let peers = flowtune_net::mem_mesh(shards)
+        .into_iter()
+        .map(|t| {
+            flowtune_net::ShardPeer::new(AllocatorService::new(fabric, cfg), t, exchange)
+                .expect("mem transport splits infallibly")
+        })
+        .collect();
+    flowtune_net::PeerCluster::from_peers(peers)
+}
+
+#[test]
+fn replace_is_bit_for_bit_across_the_in_process_and_wire_backends() {
+    // A re-placement epoch migrates flows in one order whatever the
+    // backend — every moved flow extracted in ascending token order,
+    // then each shard adopting its arrivals in ascending token order —
+    // so a mid-run `replace` keeps the in-process service and the mem
+    // wire cluster indistinguishable for the rest of the run.
+    let fabric = fabric();
+    for shards in [2usize, 4] {
+        for seed in [7u64, 42] {
+            let cfg = FlowtuneConfig {
+                exchange_every: 1,
+                ..FlowtuneConfig::default()
+            };
+            let mut svc = ShardedService::new(&fabric, cfg, shards);
+            let mut cluster = mem_cluster(&fabric, cfg, shards);
+            let churn = Replay::churn(&fabric, seed, 180);
+            let (before, after) = churn.rounds.split_at(90);
+            let label = format!("{shards} shards, seed {seed}");
+            assert_bit_for_bit(
+                &format!("before replace, {label}"),
+                &Replay {
+                    rounds: before.to_vec(),
+                },
+                &mut svc,
+                &mut cluster,
+                StatsCheck::Exact,
+            );
+            // Rack 1 outweighs rack 0, so the placer hands it shard 0:
+            // racks 0 and 1 — one fabric block — trade shards while the
+            // others mostly stay. A shard thus loses and gains flows in
+            // the same block, where the adoption order shows in the
+            // engine's slot layout.
+            let clos = fabric.config();
+            let racks = clos.server_count() / clos.servers_per_rack;
+            let mut matrix = flowtune::placement::TrafficMatrix::new(racks);
+            for (rack, weight) in [(1, 4.0), (0, 3.0), (2, 2.0), (3, 1.0)] {
+                matrix.add(rack, rack, weight);
+            }
+            let regrouped = flowtune::Placement::traffic(
+                clos.server_count(),
+                clos.servers_per_rack,
+                shards,
+                &matrix,
+                false,
+            );
+            let moved = svc.replace(regrouped.clone()).expect("in-process epoch");
+            assert!(
+                moved > 0 && moved < svc.active_flows(),
+                "{label}: the epoch must move some flows, not all: {moved}"
+            );
+            assert_eq!(cluster.replace(regrouped), Ok(moved), "{label}");
+            assert_bit_for_bit(
+                &format!("after replace, {label}"),
+                &Replay {
+                    rounds: after.to_vec(),
+                },
+                &mut svc,
+                &mut cluster,
+                StatsCheck::Exact,
+            );
+            assert_eq!(cluster.backend().wire_stats().late_rounds, 0);
+        }
+    }
+}
+
+#[test]
+fn both_backends_report_the_observed_matrix_and_phase_timings() {
+    // The router gives the wire cluster everything the in-process
+    // service reports: the observed rack matrix is the same, and every
+    // phase — exchange included when the cadence is on — is timed.
+    let fabric = fabric();
+    for exchange_every in [0u64, 1] {
+        let cfg = FlowtuneConfig {
+            exchange_every,
+            ..FlowtuneConfig::default()
+        };
+        let mut svc = ShardedService::new(&fabric, cfg, 2);
+        let mut cluster = mem_cluster(&fabric, cfg, 2);
+        assert_bit_for_bit(
+            &format!("exchange {exchange_every}"),
+            &Replay::churn(&fabric, 7, 90),
+            &mut svc,
+            &mut cluster,
+            StatsCheck::Exact,
+        );
+        assert!(svc.observed_matrix().total() > 0.0);
+        assert_eq!(svc.observed_matrix(), cluster.observed_matrix());
+        for (plane, t) in [
+            ("in-process", svc.phase_timings()),
+            ("wire", cluster.phase_timings()),
+        ] {
+            let label = format!("{plane}, exchange {exchange_every}: {t:?}");
+            assert!(t.intake > Duration::ZERO, "{label}");
+            assert!(t.allocate > Duration::ZERO, "{label}");
+            assert!(t.export > Duration::ZERO, "{label}");
+            assert_eq!(t.exchange > Duration::ZERO, exchange_every > 0, "{label}");
         }
     }
 }
