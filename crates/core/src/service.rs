@@ -13,8 +13,10 @@
 //!    baseline) and [`Engine::Gradient`] (first-order gradient
 //!    projection, the §6.6/Figure-12 baseline).
 //! 2. **[`AllocatorService`]** is the Figure-1 box around one engine: it
-//!    consumes flowlet start/end notifications, keeps the token registry,
-//!    and on every [`AllocatorService::tick`] (§6.2: every 10 µs) emits
+//!    consumes flowlet start/end notifications, keeps one flow table (a
+//!    dense slot per flowlet, indexed by engine flow id, holding its
+//!    registration and §6.4 filter memory), and on every
+//!    [`AllocatorService::tick`] (§6.2: every 10 µs) emits
 //!    threshold-filtered rate updates. It is sans-IO — the network
 //!    simulator delivers the messages over simulated TCP, the examples
 //!    call it directly.
@@ -35,7 +37,7 @@
 //! crashes: [`AllocatorService::on_message`] returns a [`ServiceError`]
 //! and bumps [`ServiceStats::rejected`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Instant;
 
 use flowtune_alloc::{AllocConfig, BoxEngine, FlowRate, RateAllocator, SerialAllocator};
@@ -46,22 +48,10 @@ use flowtune_topo::{FlowId, TwoTierClos};
 use crate::driver::PhaseTimings;
 use crate::FlowtuneConfig;
 
-#[derive(Debug, Clone, Copy)]
-struct Registered {
-    internal: FlowId,
-    src: u16,
-    /// Destination, weight and spine are retained so a registration can
-    /// be re-created verbatim in another shard when a re-placement epoch
-    /// migrates the flow (see [`AllocatorService::extract_flow`]).
-    dst: u16,
-    weight_q8: u16,
-    spine: u8,
-}
-
-/// A flowlet registration detached from its service, carrying everything
-/// needed to re-register the flow elsewhere — the unit of flow-state
-/// migration between shards during a re-placement epoch
-/// ([`ShardRouter::replace`](crate::ShardRouter::replace)).
+/// A flowlet registration, carrying everything needed to register the
+/// flow: what a service keeps per flow, and, detached from its service,
+/// the unit of flow-state migration between shards during a re-placement
+/// epoch ([`ShardRouter::replace`](crate::ShardRouter::replace)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowMigration {
     /// The endpoint-visible flowlet token.
@@ -75,6 +65,17 @@ pub struct FlowMigration {
     pub weight_q8: u16,
     /// The ECMP spine of the flow's path.
     pub spine: u8,
+}
+
+/// One row of the service's flow table. A slot's index in the table *is*
+/// the flow's engine [`FlowId`], so an engine rate leads straight back to
+/// its token, source and filter memory.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    flow: FlowMigration,
+    /// Last rate sent for this flowlet (§6.4 filter memory); `None` until
+    /// its first update, and again whenever the slot is reused.
+    last_sent: Option<f64>,
 }
 
 /// Operating counters, mostly for the overhead experiments.
@@ -540,25 +541,28 @@ fn alloc_config(cfg: &FlowtuneConfig) -> AllocConfig {
 /// a type argument is the serial reference configuration;
 /// [`AllocatorService::builder`] yields the boxed, run-time-chosen form
 /// ([`DynAllocatorService`]).
+///
+/// Per-flow state is one dense flow table: a slot per registered
+/// flowlet, indexed by the engine [`FlowId`] the service minted for it,
+/// plus a single token → slot map. The tick never touches the map — it
+/// reads the engine's drained rates straight into their slots.
 #[derive(Debug)]
 pub struct AllocatorService<E: RateAllocator = SerialAllocator> {
     fabric: TwoTierClos,
     engine: E,
     cfg: FlowtuneConfig,
-    /// Token registry. A `BTreeMap` so `tick` walks tokens in sorted
-    /// order directly — the per-tick collect-and-sort of the `HashMap`
-    /// design cost `O(n log n)` per 10 µs tick at zero churn.
-    registry: BTreeMap<Token, Registered>,
-    /// Internal id → (token, source): the reverse lookup the changed-rate
-    /// export needs to turn an engine's [`FlowRate`] back into a routed
-    /// update without walking the whole registry.
-    rev: HashMap<FlowId, (Token, u16)>,
+    /// The flow table, indexed by engine [`FlowId`]. Freed slots are
+    /// listed in `free` and reused by the next registration.
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Token → slot, for intake, migration and token queries.
+    index: HashMap<Token, u32>,
     /// Scratch buffer the engine's changed-rate drain fills each tick.
     export_buf: Vec<FlowRate>,
-    /// Scratch buffer for sorting the changed set into token order.
-    changed_buf: Vec<(Token, u16, f64)>,
+    /// Scratch buffer sorting the drained `(token, slot, rate)` triples
+    /// into token order.
+    changed_buf: Vec<(Token, u32, f64)>,
     filter: ThresholdFilter,
-    next_internal: u64,
     stats: ServiceStats,
     timings: PhaseTimings,
 }
@@ -596,12 +600,12 @@ impl<E: RateAllocator> AllocatorService<E> {
             fabric,
             engine,
             cfg,
-            registry: BTreeMap::new(),
-            rev: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: HashMap::new(),
             export_buf: Vec::new(),
             changed_buf: Vec::new(),
             filter: ThresholdFilter::new(cfg.update_threshold),
-            next_internal: 0,
             stats: ServiceStats::default(),
             timings: PhaseTimings::default(),
         }
@@ -635,7 +639,7 @@ impl<E: RateAllocator> AllocatorService<E> {
                 spine,
                 ..
             } => {
-                if self.registry.contains_key(&token) {
+                if self.index.contains_key(&token) {
                     self.stats.rejected += 1;
                     return Err(ServiceError::DuplicateToken(token));
                 }
@@ -651,15 +655,18 @@ impl<E: RateAllocator> AllocatorService<E> {
                     self.stats.rejected += 1;
                     return Err(ServiceError::MalformedStart(token));
                 }
-                self.register(token, src, dst, weight_q8, spine);
+                self.register(FlowMigration {
+                    token,
+                    src,
+                    dst,
+                    weight_q8,
+                    spine,
+                });
                 self.stats.starts += 1;
                 Ok(())
             }
             Message::FlowletEnd { token } => {
-                if let Some(reg) = self.registry.remove(&token) {
-                    self.engine.remove_flow(reg.internal);
-                    self.rev.remove(&reg.internal);
-                    self.filter.forget(token);
+                if self.extract_flow(token).is_some() {
                     self.stats.ends += 1;
                 }
                 Ok(())
@@ -673,100 +680,70 @@ impl<E: RateAllocator> AllocatorService<E> {
 
     /// One allocator tick (§6.2: every 10 µs): runs the configured number
     /// of engine iterations and returns `(source server, update)` pairs
-    /// for every flow whose normalized rate moved beyond the threshold.
-    /// Updates come out in token order (the registry iterates sorted; an
-    /// incremental engine's changed set is sorted before filtering).
+    /// for every flow whose normalized rate moved beyond the threshold,
+    /// in token order.
     pub fn tick(&mut self) -> Vec<(u16, Message)> {
         let t0 = Instant::now();
         self.engine.run_iterations(self.cfg.iterations_per_tick);
         self.stats.iterations += self.cfg.iterations_per_tick as u64;
         let t1 = Instant::now();
         self.timings.allocate += t1 - t0;
-        let out = if let Some((dirty_flows, dirty_links)) = self.engine.dirty_counters() {
+        if let Some((dirty_flows, dirty_links)) = self.engine.dirty_counters() {
             // The counters are running totals the engine owns; mirror
             // them so shard sums aggregate naturally.
             self.stats.dirty_flows = dirty_flows;
             self.stats.dirty_links = dirty_links;
-            self.export_changed()
-        } else {
-            self.export_all()
-        };
+        }
+        let out = self.export();
         self.timings.export += t1.elapsed();
         out
     }
 
-    /// The classic export walk: every registered flow, in token order.
-    fn export_all(&mut self) -> Vec<(u16, Message)> {
-        // flowtune-lint: allow(hot-path-alloc, "export returns an owned batch by contract; zero-alloc callers use rates_into")
-        let mut out = Vec::new();
-        for (&token, reg) in &self.registry {
-            let rate = self
-                .engine
-                .flow_rate(reg.internal)
-                .expect("registered flow must be in the engine");
-            let gbps = rate.normalized;
-            if self.filter.should_send(token, gbps) {
-                let msg = Message::RateUpdate {
-                    token,
-                    rate: Rate16::encode(gbps),
-                };
-                self.stats.bytes_out += msg.encoded_len() as u64;
-                self.stats.updates_sent += 1;
-                out.push((reg.src, msg));
-            } else {
-                self.stats.updates_suppressed += 1;
-            }
-        }
-        out
-    }
-
-    /// The incremental export: drain the engine's changed-rate set, sort
-    /// it into token order, and run only those flows through the filter.
-    /// Flows the engine did not export cannot have moved, so the filter
-    /// would suppress them without touching its memory — they are counted
-    /// suppressed directly, keeping every [`ServiceStats`] counter equal
-    /// to what [`AllocatorService::export_all`] would have produced.
-    fn export_changed(&mut self) -> Vec<(u16, Message)> {
-        if !self.engine.take_changed_rates(&mut self.export_buf) {
-            return self.export_all();
-        }
+    /// The export: drain the engine's changed rates (an incremental
+    /// engine's changed set; every flow for a full-sweep engine), pair
+    /// each with its slot, sort into token order and run the §6.4 filter
+    /// on the slot's memory. A flow the engine did not drain has not moved
+    /// since it was last filtered, so the filter would suppress it — it is
+    /// counted suppressed directly, keeping every [`ServiceStats`] counter
+    /// independent of the engine kind.
+    fn export(&mut self) -> Vec<(u16, Message)> {
+        self.engine.take_changed_rates(&mut self.export_buf);
         self.changed_buf.clear();
         for r in &self.export_buf {
-            let &(token, src) = self
-                .rev
-                .get(&r.id)
-                .expect("exported flow must be registered");
-            self.changed_buf.push((token, src, r.normalized));
+            let slot = r.id.index();
+            self.changed_buf
+                .push((self.slots[slot].flow.token, slot as u32, r.normalized));
         }
         self.changed_buf.sort_unstable_by_key(|e| e.0);
         // flowtune-lint: allow(hot-path-alloc, "export returns an owned batch by contract; zero-alloc callers use rates_into")
         let mut out = Vec::new();
-        for i in 0..self.changed_buf.len() {
-            let (token, src, gbps) = self.changed_buf[i];
-            if self.filter.should_send(token, gbps) {
+        for &(token, slot, gbps) in &self.changed_buf {
+            let entry = &mut self.slots[slot as usize];
+            if self.filter.should_send(&mut entry.last_sent, gbps) {
                 let msg = Message::RateUpdate {
                     token,
                     rate: Rate16::encode(gbps),
                 };
                 self.stats.bytes_out += msg.encoded_len() as u64;
-                self.stats.updates_sent += 1;
-                out.push((src, msg));
+                out.push((entry.flow.src, msg));
             }
         }
-        self.stats.updates_suppressed += self.registry.len() as u64 - out.len() as u64;
+        self.stats.updates_sent += out.len() as u64;
+        self.stats.updates_suppressed += (self.index.len() - out.len()) as u64;
         out
     }
 
     /// Current normalized rate of an active flowlet, Gbit/s.
     pub fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
-        let reg = self.registry.get(&token)?;
-        Some(self.engine.flow_rate(reg.internal)?.normalized)
+        let &slot = self.index.get(&token)?;
+        Some(self.engine.flow_rate(FlowId(slot.into()))?.normalized)
     }
 
     /// Source server of an active flowlet — the key re-placement routing
     /// decisions are made on.
     pub fn flow_source(&self, token: Token) -> Option<u16> {
-        Some(self.registry.get(&token)?.src)
+        let &slot = self.index.get(&token)?;
+        Some(self.slots[slot as usize].flow.src)
     }
 
     /// Removes an active flowlet and returns its detached registration,
@@ -777,17 +754,10 @@ impl<E: RateAllocator> AllocatorService<E> {
     /// threshold-filter memory is dropped — the adopting shard reports a
     /// fresh rate once the flow re-converges there.
     pub fn extract_flow(&mut self, token: Token) -> Option<FlowMigration> {
-        let reg = self.registry.remove(&token)?;
-        self.engine.remove_flow(reg.internal);
-        self.rev.remove(&reg.internal);
-        self.filter.forget(token);
-        Some(FlowMigration {
-            token,
-            src: reg.src,
-            dst: reg.dst,
-            weight_q8: reg.weight_q8,
-            spine: reg.spine,
-        })
+        let slot = self.index.remove(&token)?;
+        self.engine.remove_flow(FlowId(slot.into()));
+        self.free.push(slot);
+        Some(self.slots[slot as usize].flow)
     }
 
     /// Registers a flowlet previously detached with
@@ -801,48 +771,51 @@ impl<E: RateAllocator> AllocatorService<E> {
     /// [`ServiceError::DuplicateToken`] if the token is already active
     /// here.
     pub fn adopt_flow(&mut self, m: FlowMigration) -> Result<(), ServiceError> {
-        if self.registry.contains_key(&m.token) {
+        if self.index.contains_key(&m.token) {
             return Err(ServiceError::DuplicateToken(m.token));
         }
-        self.register(m.token, m.src, m.dst, m.weight_q8, m.spine);
+        self.register(m);
         Ok(())
     }
 
-    /// The single registration path intake and migration share: mint the
-    /// internal id, decode the Q8 weight, build the path, seat the flow
-    /// in the engine and the registry. One implementation, so migrated
-    /// flows can never diverge from freshly started ones in weight or
-    /// path rules. The token must be fresh and the endpoint fields
-    /// validated by the caller.
-    fn register(&mut self, token: Token, src: u16, dst: u16, weight_q8: u16, spine: u8) {
-        let internal = FlowId(self.next_internal);
-        self.next_internal += 1;
-        let weight = if weight_q8 == 0 {
+    /// The single registration path intake and migration share: take a
+    /// slot (a freed one first) with fresh filter memory, decode the Q8
+    /// weight, build the path and seat the flow in the engine under the
+    /// slot's id. One implementation, so migrated flows can never diverge
+    /// from freshly started ones in weight or path rules. The token must
+    /// be fresh and the endpoint fields validated by the caller.
+    fn register(&mut self, flow: FlowMigration) {
+        let entry = Slot {
+            flow,
+            last_sent: None,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = entry;
+                slot
+            }
+            None => {
+                // The table never outgrows the peak live-flow count,
+                // which the 24-bit token space bounds far below u32.
+                self.slots.push(entry);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(flow.token, slot);
+        let weight = if flow.weight_q8 == 0 {
             self.cfg.default_weight
         } else {
-            weight_q8 as f64 / 256.0
+            flow.weight_q8 as f64 / 256.0
         };
-        let path = self
-            .fabric
-            .path_via_spine(src as usize, dst as usize, spine as usize);
+        let (src, dst) = (flow.src as usize, flow.dst as usize);
+        let path = self.fabric.path_via_spine(src, dst, flow.spine as usize);
         self.engine
-            .add_flow(internal, src as usize, dst as usize, weight, &path);
-        self.registry.insert(
-            token,
-            Registered {
-                internal,
-                src,
-                dst,
-                weight_q8,
-                spine,
-            },
-        );
-        self.rev.insert(internal, (token, src));
+            .add_flow(FlowId(slot.into()), src, dst, weight, &path);
     }
 
     /// Number of active flowlets.
     pub fn active_flows(&self) -> usize {
-        self.registry.len()
+        self.index.len()
     }
 
     /// Operating counters.
@@ -1223,6 +1196,73 @@ mod tests {
             let updates = drv.tick();
             assert_eq!(updates.len(), 1);
             assert_eq!(updates[0].0, 0);
+        }
+    }
+
+    fn end(token: u32) -> Message {
+        Message::FlowletEnd {
+            token: Token::new(token),
+        }
+    }
+
+    fn updates_for(updates: &[(u16, Message)], token: u32) -> usize {
+        updates
+            .iter()
+            .filter(|(_, m)| matches!(m, Message::RateUpdate { token: t, .. } if *t == Token::new(token)))
+            .count()
+    }
+
+    #[test]
+    fn reused_token_gets_a_fresh_update() {
+        let mut svc = AllocatorService::new(&fabric(), FlowtuneConfig::default());
+        svc.on_message(start(1, 0, 140)).unwrap();
+        let mut last_sent = None;
+        for _ in 0..200 {
+            if updates_for(&svc.tick(), 1) == 1 {
+                last_sent = svc.flow_rate_gbps(Token::new(1));
+            }
+        }
+        let last_sent = last_sent.unwrap();
+        svc.on_message(end(1)).unwrap();
+        // Same token, same path: the converged prices hand the new
+        // flowlet the old flowlet's rate on its first tick, so filter
+        // memory left over from the old flowlet would suppress it.
+        svc.on_message(start(1, 0, 140)).unwrap();
+        let updates = svc.tick();
+        let rate = svc.flow_rate_gbps(Token::new(1)).unwrap();
+        let threshold = svc.config().update_threshold;
+        assert!(
+            (rate - last_sent).abs() <= threshold * last_sent,
+            "{rate} vs {last_sent}"
+        );
+        assert_eq!(updates_for(&updates, 1), 1, "{updates:?}");
+    }
+
+    #[test]
+    fn a_reused_slot_serves_its_new_flow_on_every_engine() {
+        for engine in [
+            Engine::Serial,
+            Engine::Multicore { workers: 0 },
+            Engine::Fastpass,
+            Engine::Gradient,
+        ] {
+            let name = engine.name();
+            let mut svc = AllocatorService::builder()
+                .fabric(&fabric())
+                .engine(engine)
+                .build()
+                .unwrap();
+            svc.on_message(start(1, 0, 140)).unwrap();
+            svc.tick();
+            svc.on_message(end(1)).unwrap();
+            svc.on_message(start(2, 3, 77)).unwrap();
+            assert_eq!(svc.index[&Token::new(2)], 0, "{name}: B reuses FlowId(0)");
+            let updates = svc.tick();
+            assert_eq!(updates_for(&updates, 2), 1, "{name}: {updates:?}");
+            assert_eq!(updates[0].0, 3, "{name}: routed to B's source");
+            assert!(svc.flow_rate_gbps(Token::new(2)).is_some(), "{name}");
+            assert!(svc.flow_rate_gbps(Token::new(1)).is_none(), "{name}");
+            assert_eq!(svc.active_flows(), 1, "{name}");
         }
     }
 }

@@ -108,8 +108,7 @@ pub const HOT_MODULES: &[HotModule] = &[
         path: "crates/core/src/service.rs",
         hot_fns: &[
             "tick",
-            "export_all",
-            "export_changed",
+            "export",
             "rates_into",
             "link_loads_into",
             "link_hessians_into",
@@ -139,7 +138,7 @@ pub const HOT_MODULES: &[HotModule] = &[
     },
     HotModule {
         path: "crates/core/src/driver.rs",
-        hot_fns: &["tick", "try_tick", "merge_by_token"],
+        hot_fns: &["tick", "try_tick"],
     },
     HotModule {
         path: "crates/core/src/scenario.rs",

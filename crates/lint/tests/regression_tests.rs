@@ -3,8 +3,11 @@
 //! file:line. This is the evidence that each rule family can actually
 //! fail — a lint that never fires is indistinguishable from no lint.
 
+use flowtune_lint::analysis::analyze;
+use flowtune_lint::lexer::lex;
 use flowtune_lint::lint_file;
 use flowtune_lint::report::Finding;
+use flowtune_lint::rules::{HOT_MODULES, PANIC_SCOPES};
 
 /// Read a real workspace source file (tests run from crates/lint).
 fn workspace_source(rel: &str) -> String {
@@ -126,7 +129,7 @@ fn injected_hashmap_iteration_in_pricing_is_caught() {
     let src = workspace_source(rel);
     let (bad, line) = inject_after(
         &src,
-        "fn export_all(",
+        "fn export(",
         "        let audit: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();\n        for (_t, _r) in audit.iter() {}",
     );
     let live = unsuppressed(lint_file(rel, &bad));
@@ -148,4 +151,29 @@ fn workspace_lint_runs_clean_end_to_end() {
         flowtune_lint::lint_workspace(std::path::Path::new(root)).expect("workspace walk succeeds");
     let live: Vec<_> = findings.iter().filter(|f| f.suppressed.is_none()).collect();
     assert!(live.is_empty(), "unsuppressed findings: {live:#?}");
+}
+
+#[test]
+fn every_scoped_function_is_defined_in_its_file() {
+    // A scope entry naming a function its file no longer defines checks
+    // nothing, silently: renames and deletions must update the tables.
+    let scopes = HOT_MODULES
+        .iter()
+        .map(|m| (m.path, m.hot_fns))
+        .chain(PANIC_SCOPES.iter().map(|p| (p.path, p.fns)))
+        .filter(|(_, fns)| !fns.is_empty());
+    let mut stale = Vec::new();
+    for (rel, fns) in scopes {
+        let an = analyze(&lex(&workspace_source(rel)));
+        for name in fns {
+            if !an
+                .fns
+                .iter()
+                .any(|f| f.name == *name && !an.tests.contains(f.line))
+            {
+                stale.push(format!("{rel}: {name}"));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "scoped functions not defined: {stale:#?}");
 }

@@ -21,6 +21,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig};
 use flowtune_proto::{Message, Token};
@@ -66,12 +67,14 @@ const WARM_ROUNDS: u64 = 5;
 const MEASURED_ROUNDS: u64 = 50;
 
 /// The counter window is process-global, so tests that open it must not
-/// overlap (cargo runs `#[test]`s concurrently by default).
-static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// overlap (cargo runs `#[test]`s concurrently by default). Taken
+/// poison-tolerantly: the mutex guards no data, so one failed window
+/// must not fail the next test too.
+static WINDOW: Mutex<()> = Mutex::new(());
 
 #[test]
 fn steady_state_exchange_round_allocates_nothing() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let mut a = ExchangeCore::new(0, 2, 0.0);
     let mut b = ExchangeCore::new(1, 2, 0.0);
 
@@ -145,7 +148,7 @@ fn steady_state_exchange_round_allocates_nothing() {
 
 #[test]
 fn steady_state_allocator_tick_allocates_nothing() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
     for incremental in [true, false] {
         let cfg = FlowtuneConfig {
@@ -215,7 +218,7 @@ fn steady_state_peer_cluster_tick_allocates_nothing() {
     use flowtune_net::{mem_mesh, PeerCluster, ShardPeer};
     use flowtune_topo::FlowId;
 
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
     let cfg = FlowtuneConfig {
         exchange_every: 1,

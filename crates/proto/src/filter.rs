@@ -6,17 +6,11 @@
 //! changes above 1.01 or below 0.99 Gbits/s." The matching capacity
 //! headroom lives in `flowtune_alloc::AllocConfig::capacity_fraction`.
 
-use std::collections::HashMap;
-
-use crate::Token;
-
-/// Per-flowlet last-sent-rate tracker implementing the update threshold.
-#[derive(Debug, Clone)]
+/// The update-threshold rule. Stateless: the caller keeps each flowlet's
+/// last sent rate next to the rest of its per-flow state and hands it in.
+#[derive(Debug, Clone, Copy)]
 pub struct ThresholdFilter {
     threshold: f64,
-    last_sent: HashMap<Token, f64>,
-    suppressed: u64,
-    sent: u64,
 }
 
 impl ThresholdFilter {
@@ -31,60 +25,24 @@ impl ThresholdFilter {
             threshold >= 0.0 && threshold.is_finite(),
             "threshold must be ≥ 0"
         );
-        Self {
-            threshold,
-            last_sent: HashMap::new(),
-            suppressed: 0,
-            sent: 0,
+        Self { threshold }
+    }
+
+    /// Decides whether `rate` must be sent for a flowlet whose last sent
+    /// rate is `last_sent` (`None`: nothing sent yet). The first rate is
+    /// always sent; afterwards only changes beyond the threshold
+    /// (relative to the *last sent* rate, not the last computed one)
+    /// pass. Records the rate in `last_sent` when it passes.
+    pub fn should_send(&self, last_sent: &mut Option<f64>, rate: f64) -> bool {
+        let send = match *last_sent {
+            None => true,
+            Some(0.0) => rate != 0.0,
+            Some(prev) => (rate - prev).abs() / prev > self.threshold,
+        };
+        if send {
+            *last_sent = Some(rate);
         }
-    }
-
-    /// Decides whether `rate` for `token` must be sent. The first rate for
-    /// a token is always sent; afterwards only changes beyond the
-    /// threshold (relative to the *last sent* rate, not the last computed
-    /// one) pass. Records the rate as sent when it passes.
-    pub fn should_send(&mut self, token: Token, rate: f64) -> bool {
-        match self.last_sent.get(&token) {
-            Some(&prev) => {
-                let send = if prev == 0.0 {
-                    rate != 0.0
-                } else {
-                    (rate - prev).abs() / prev > self.threshold
-                };
-                if send {
-                    self.last_sent.insert(token, rate);
-                    self.sent += 1;
-                } else {
-                    self.suppressed += 1;
-                }
-                send
-            }
-            None => {
-                self.last_sent.insert(token, rate);
-                self.sent += 1;
-                true
-            }
-        }
-    }
-
-    /// Forgets a flowlet (on `FlowletEnd`), so a token reuse starts fresh.
-    pub fn forget(&mut self, token: Token) {
-        self.last_sent.remove(&token);
-    }
-
-    /// Number of updates that passed the filter.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Number of updates suppressed by the filter.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
-    }
-
-    /// Currently tracked flowlets.
-    pub fn tracked(&self) -> usize {
-        self.last_sent.len()
+        send
     }
 }
 
@@ -92,27 +50,25 @@ impl ThresholdFilter {
 mod tests {
     use super::*;
 
-    fn t(v: u32) -> Token {
-        Token::new(v)
-    }
-
     #[test]
     fn first_update_always_sent() {
-        let mut f = ThresholdFilter::new(0.01);
-        assert!(f.should_send(t(1), 5.0));
-        assert_eq!(f.sent(), 1);
+        let f = ThresholdFilter::new(0.01);
+        let mut last = None;
+        assert!(f.should_send(&mut last, 5.0));
+        assert_eq!(last, Some(5.0));
     }
 
     #[test]
     fn small_changes_suppressed_relative_to_last_sent() {
-        let mut f = ThresholdFilter::new(0.01);
-        assert!(f.should_send(t(1), 1.0));
-        assert!(!f.should_send(t(1), 1.005)); // +0.5%
-        assert!(!f.should_send(t(1), 0.995)); // −0.5%
-                                              // Drift accumulates relative to the last *sent* value (1.0):
-        assert!(f.should_send(t(1), 1.011)); // +1.1% vs 1.0 → send
-        assert_eq!(f.suppressed(), 2);
-        assert_eq!(f.sent(), 2);
+        let f = ThresholdFilter::new(0.01);
+        let mut last = None;
+        assert!(f.should_send(&mut last, 1.0));
+        assert!(!f.should_send(&mut last, 1.005)); // +0.5%
+        assert!(!f.should_send(&mut last, 0.995)); // −0.5%
+        assert_eq!(last, Some(1.0), "suppressed rates are not recorded");
+        // Drift accumulates relative to the last *sent* value (1.0):
+        assert!(f.should_send(&mut last, 1.011)); // +1.1% vs 1.0 → send
+        assert_eq!(last, Some(1.011));
     }
 
     #[test]
@@ -121,43 +77,45 @@ mod tests {
         // the threshold — an exactly-at-threshold change stays quiet.
         // (0.5, 2.0 and 3.0 are exactly representable, so the comparison
         // is float-exact.)
-        let mut f = ThresholdFilter::new(0.5);
-        assert!(f.should_send(t(1), 2.0));
-        assert!(!f.should_send(t(1), 3.0));
-        assert!(f.should_send(t(1), 3.5));
+        let f = ThresholdFilter::new(0.5);
+        let mut last = None;
+        assert!(f.should_send(&mut last, 2.0));
+        assert!(!f.should_send(&mut last, 3.0));
+        assert!(f.should_send(&mut last, 3.5));
     }
 
     #[test]
     fn zero_threshold_forwards_changes_only() {
-        let mut f = ThresholdFilter::new(0.0);
-        assert!(f.should_send(t(1), 1.0));
-        assert!(!f.should_send(t(1), 1.0), "identical rate never resent");
-        assert!(f.should_send(t(1), 1.0000001));
+        let f = ThresholdFilter::new(0.0);
+        let mut last = None;
+        assert!(f.should_send(&mut last, 1.0));
+        assert!(
+            !f.should_send(&mut last, 1.0),
+            "identical rate never resent"
+        );
+        assert!(f.should_send(&mut last, 1.0000001));
     }
 
     #[test]
     fn zero_rate_transitions() {
-        let mut f = ThresholdFilter::new(0.05);
-        assert!(f.should_send(t(1), 0.0));
-        assert!(!f.should_send(t(1), 0.0));
-        assert!(f.should_send(t(1), 0.5), "leaving zero is always a change");
-    }
-
-    #[test]
-    fn forget_resets_tracking() {
-        let mut f = ThresholdFilter::new(0.01);
-        assert!(f.should_send(t(1), 1.0));
-        f.forget(t(1));
-        assert_eq!(f.tracked(), 0);
-        assert!(f.should_send(t(1), 1.0), "fresh after forget");
+        let f = ThresholdFilter::new(0.05);
+        let mut last = None;
+        assert!(f.should_send(&mut last, 0.0));
+        assert!(!f.should_send(&mut last, 0.0));
+        assert!(
+            f.should_send(&mut last, 0.5),
+            "leaving zero is always a change"
+        );
     }
 
     #[test]
     fn independent_tokens() {
-        let mut f = ThresholdFilter::new(0.01);
-        assert!(f.should_send(t(1), 1.0));
-        assert!(f.should_send(t(2), 1.0));
-        assert!(!f.should_send(t(1), 1.0));
+        let f = ThresholdFilter::new(0.01);
+        let (mut a, mut b) = (None, None);
+        assert!(f.should_send(&mut a, 1.0));
+        assert!(f.should_send(&mut b, 1.0));
+        assert!(!f.should_send(&mut a, 1.0));
+        assert_eq!(b, Some(1.0));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! code with ≤0.025% relative error — far below the 1% default update
 //! threshold (§6.4), so quantization never masks a real change.
 //!
-//! [`ThresholdFilter`] implements the §6.4 update suppression, and
+//! [`ThresholdFilter`] is the stateless §6.4 update-suppression rule
+//! (callers keep each flow's last sent rate), and
 //! [`wire`] the byte-accounting helpers (Ethernet minimum frame and
 //! header overheads) used by the overhead figures. [`exchange`] is the
 //! shard-to-shard side of the control plane: the versioned frame format
