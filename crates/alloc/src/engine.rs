@@ -57,30 +57,21 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// Number of registered flows.
     fn flow_count(&self) -> usize;
 
-    /// All flows' current allocations (Gbit/s), in an engine-defined but
-    /// deterministic order.
-    fn rates(&self) -> Vec<FlowRate>;
-
     /// One flow's current allocation, if registered.
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate>;
 
-    /// [`RateAllocator::rates`] into a caller-provided buffer (cleared
-    /// first) — the per-tick export path, which must not allocate once
-    /// the buffer is warm. The default delegates to the allocating
-    /// variant; engines on the tick path override it.
-    fn rates_into(&self, out: &mut Vec<FlowRate>) {
-        out.clear();
-        out.extend_from_slice(&self.rates());
-    }
+    /// All flows' current allocations (Gbit/s) into a caller-provided
+    /// buffer (cleared first), in an engine-defined but deterministic
+    /// order — the per-tick export path, which must not allocate once the
+    /// buffer is warm.
+    fn rates_into(&self, out: &mut Vec<FlowRate>);
 
-    /// Exports only the flows whose rate may have changed since the last
-    /// drain into `out` (cleared first) and returns `true`; engines
-    /// without change tracking fall back to a full
-    /// [`RateAllocator::rates_into`] export and return `false` (meaning
-    /// `out` is the complete set, not a changed set).
-    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
+    /// Drains into `out` (cleared first) the rates of every flow whose
+    /// rate may have changed since the last drain. Engines without change
+    /// tracking treat every flow as changed: the default is a full
+    /// [`RateAllocator::rates_into`] export.
+    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) {
         self.rates_into(out);
-        false
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters for engines
@@ -91,29 +82,21 @@ pub trait RateAllocator: std::fmt::Debug + Send {
         None
     }
 
-    /// This engine's own per-link loads: for every fabric link (indexed
-    /// by global [`LinkId`](flowtune_topo::LinkId)), the sum of the raw
+    /// This engine's own per-link loads into a caller-provided buffer
+    /// (cleared first): for every fabric link (indexed by global
+    /// [`LinkId`](flowtune_topo::LinkId)), the sum of the raw
     /// (pre-normalization) rates of *this engine's* flows crossing it —
     /// exactly the load term its own price update uses. Background loads
     /// installed with [`RateAllocator::set_background_loads`] are **not**
     /// echoed back, so a sharded control plane can sum shards' exports
-    /// without double counting.
+    /// without double counting. Per-tick exporters (the sharded exchange)
+    /// call it every round, so it must not allocate once `out` is warm.
     ///
     /// Engines that do not price fabric links (the Fastpass arbiter)
-    /// return an empty vector, which callers must treat as "no link
-    /// state to share".
-    fn link_loads(&self) -> Vec<f64> {
-        Vec::new()
-    }
-
-    /// [`RateAllocator::link_loads`] into a caller-provided buffer, for
-    /// per-tick exporters (the sharded exchange) that must not allocate
-    /// once their buffers are warm. `out` is cleared first; engines with
-    /// nothing to export leave it empty. The default delegates to the
-    /// allocating variant — engines on the tick path override it.
+    /// leave `out` empty — the default — which callers must treat as "no
+    /// link state to share".
     fn link_loads_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend_from_slice(&self.link_loads());
     }
 
     /// Installs an exogenous per-link load (global
@@ -126,50 +109,35 @@ pub trait RateAllocator: std::fmt::Debug + Send {
         let _ = loads;
     }
 
-    /// The engine's own per-link Hessian diagonal: `Σ ∂x/∂p` over its
-    /// flows crossing each link (global
-    /// [`LinkId`](flowtune_topo::LinkId) indexing, entries ≤ 0). A
-    /// partitioned allocator ships this alongside
-    /// [`RateAllocator::link_loads`] so every shard's Newton step
+    /// The engine's own per-link Hessian diagonal into a caller-provided
+    /// buffer (cleared first): `Σ ∂x/∂p` over its flows crossing each
+    /// link (global [`LinkId`](flowtune_topo::LinkId) indexing, entries
+    /// ≤ 0). A partitioned allocator ships this alongside
+    /// [`RateAllocator::link_loads_into`] so every shard's Newton step
     /// divides the global gradient by the global sensitivity — with only
     /// its own diagonal, a shard's effective step grows with the shard
-    /// count and leaves NED's stable γ range. Empty for engines whose
-    /// price update has no second-order term (Fastpass, gradient
-    /// projection).
-    fn link_hessians(&self) -> Vec<f64> {
-        Vec::new()
-    }
-
-    /// [`RateAllocator::link_hessians`] into a caller-provided buffer
-    /// (cleared first; left empty by engines without a second-order
-    /// term), the allocation-free export the sharded exchange uses.
+    /// count and leaves NED's stable γ range. Left empty (the default) by
+    /// engines whose price update has no second-order term (Fastpass,
+    /// gradient projection).
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend_from_slice(&self.link_hessians());
     }
 
     /// Installs the exogenous per-link Hessian diagonal accompanying the
-    /// background loads (other shards' [`RateAllocator::link_hessians`]
+    /// background loads (other shards' [`RateAllocator::link_hessians_into`]
     /// sum). An empty slice clears it. Engines without a second-order
     /// price term ignore the call.
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         let _ = hdiag;
     }
 
-    /// The engine's current per-link duals (prices), global
+    /// The engine's current per-link duals (prices) into a
+    /// caller-provided buffer (cleared first), global
     /// [`LinkId`](flowtune_topo::LinkId) indexing — the exchange's
-    /// export half of dual consensus. Empty for engines that do not
-    /// price fabric links.
-    fn link_prices(&self) -> Vec<f64> {
-        Vec::new()
-    }
-
-    /// [`RateAllocator::link_prices`] into a caller-provided buffer
-    /// (cleared first; left empty by engines that do not price fabric
-    /// links), the allocation-free export the sharded exchange uses.
+    /// export half of dual consensus. Left empty (the default) by engines
+    /// that do not price fabric links.
     fn link_prices_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend_from_slice(&self.link_prices());
     }
 
     /// Overwrites the engine's per-link duals with consensus values;
@@ -224,10 +192,6 @@ impl RateAllocator for BoxEngine {
         (**self).flow_count()
     }
 
-    fn rates(&self) -> Vec<FlowRate> {
-        (**self).rates()
-    }
-
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
         (**self).flow_rate(id)
     }
@@ -236,16 +200,12 @@ impl RateAllocator for BoxEngine {
         (**self).rates_into(out);
     }
 
-    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        (**self).take_changed_rates(out)
+    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) {
+        (**self).take_changed_rates(out);
     }
 
     fn dirty_counters(&self) -> Option<(u64, u64)> {
         (**self).dirty_counters()
-    }
-
-    fn link_loads(&self) -> Vec<f64> {
-        (**self).link_loads()
     }
 
     fn link_loads_into(&self, out: &mut Vec<f64>) {
@@ -256,20 +216,12 @@ impl RateAllocator for BoxEngine {
         (**self).set_background_loads(loads);
     }
 
-    fn link_hessians(&self) -> Vec<f64> {
-        (**self).link_hessians()
-    }
-
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
         (**self).link_hessians_into(out);
     }
 
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         (**self).set_background_hessians(hdiag);
-    }
-
-    fn link_prices(&self) -> Vec<f64> {
-        (**self).link_prices()
     }
 
     fn link_prices_into(&self, out: &mut Vec<f64>) {
@@ -313,10 +265,6 @@ impl RateAllocator for crate::SerialAllocator {
         crate::SerialAllocator::flow_count(self)
     }
 
-    fn rates(&self) -> Vec<FlowRate> {
-        crate::SerialAllocator::rates(self)
-    }
-
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
         crate::SerialAllocator::flow_rate(self, id)
     }
@@ -325,16 +273,12 @@ impl RateAllocator for crate::SerialAllocator {
         crate::SerialAllocator::rates_into(self, out);
     }
 
-    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        crate::SerialAllocator::take_changed_rates(self, out)
+    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) {
+        crate::SerialAllocator::take_changed_rates(self, out);
     }
 
     fn dirty_counters(&self) -> Option<(u64, u64)> {
         crate::SerialAllocator::dirty_counters(self)
-    }
-
-    fn link_loads(&self) -> Vec<f64> {
-        crate::SerialAllocator::link_loads(self)
     }
 
     fn link_loads_into(&self, out: &mut Vec<f64>) {
@@ -345,20 +289,12 @@ impl RateAllocator for crate::SerialAllocator {
         crate::SerialAllocator::set_background_loads(self, loads);
     }
 
-    fn link_hessians(&self) -> Vec<f64> {
-        crate::SerialAllocator::link_hessians(self)
-    }
-
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
         crate::SerialAllocator::link_hessians_into(self, out);
     }
 
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         crate::SerialAllocator::set_background_hessians(self, hdiag);
-    }
-
-    fn link_prices(&self) -> Vec<f64> {
-        crate::SerialAllocator::link_prices(self)
     }
 
     fn link_prices_into(&self, out: &mut Vec<f64>) {
@@ -404,10 +340,6 @@ impl RateAllocator for crate::MulticoreAllocator {
         crate::MulticoreAllocator::flow_count(self)
     }
 
-    fn rates(&self) -> Vec<FlowRate> {
-        crate::MulticoreAllocator::rates(self)
-    }
-
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
         crate::MulticoreAllocator::flow_rate(self, id)
     }
@@ -416,16 +348,12 @@ impl RateAllocator for crate::MulticoreAllocator {
         crate::MulticoreAllocator::rates_into(self, out);
     }
 
-    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        crate::MulticoreAllocator::take_changed_rates(self, out)
+    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) {
+        crate::MulticoreAllocator::take_changed_rates(self, out);
     }
 
     fn dirty_counters(&self) -> Option<(u64, u64)> {
         crate::MulticoreAllocator::dirty_counters(self)
-    }
-
-    fn link_loads(&self) -> Vec<f64> {
-        crate::MulticoreAllocator::link_loads(self)
     }
 
     fn link_loads_into(&self, out: &mut Vec<f64>) {
@@ -436,20 +364,12 @@ impl RateAllocator for crate::MulticoreAllocator {
         crate::MulticoreAllocator::set_background_loads(self, loads);
     }
 
-    fn link_hessians(&self) -> Vec<f64> {
-        crate::MulticoreAllocator::link_hessians(self)
-    }
-
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
         crate::MulticoreAllocator::link_hessians_into(self, out);
     }
 
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         crate::MulticoreAllocator::set_background_hessians(self, hdiag);
-    }
-
-    fn link_prices(&self) -> Vec<f64> {
-        crate::MulticoreAllocator::link_prices(self)
     }
 
     fn link_prices_into(&self, out: &mut Vec<f64>) {
@@ -489,7 +409,9 @@ mod tests {
             assert!((r.rate - 40.0).abs() < 1e-4, "{}: {r:?}", engine.name());
             assert_eq!(engine.flow_count(), 1);
             assert!(engine.remove_flow(FlowId(7)));
-            assert_eq!(engine.rates().len(), 0);
+            let mut rates = vec![r];
+            engine.rates_into(&mut rates);
+            assert_eq!(rates.len(), 0);
         }
     }
 

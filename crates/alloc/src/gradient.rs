@@ -28,7 +28,7 @@ pub struct GradientAllocator {
     f_norm: bool,
     /// flow id → problem slot.
     index: HashMap<FlowId, usize>,
-    /// problem slot → flow id (for deterministic `rates()` output).
+    /// problem slot → flow id (for deterministic `rates_into` output).
     slot_ids: Vec<Option<FlowId>>,
     /// Per-slot F-NORMed rates, refreshed each iteration.
     normalized: Vec<f64>,
@@ -124,15 +124,13 @@ impl RateAllocator for GradientAllocator {
         self.index.len()
     }
 
-    fn rates(&self) -> Vec<FlowRate> {
-        self.problem
-            .iter_flows()
-            .map(|(slot, ..)| FlowRate {
-                id: self.slot_ids[slot].expect("active slot has an id"),
-                rate: self.state.rates[slot],
-                normalized: self.normalized[slot],
-            })
-            .collect()
+    fn rates_into(&self, out: &mut Vec<FlowRate>) {
+        out.clear();
+        out.extend(self.problem.iter_flows().map(|(slot, ..)| FlowRate {
+            id: self.slot_ids[slot].expect("active slot has an id"),
+            rate: self.state.rates[slot],
+            normalized: self.normalized[slot],
+        }));
     }
 
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
@@ -144,10 +142,6 @@ impl RateAllocator for GradientAllocator {
         })
     }
 
-    fn link_loads(&self) -> Vec<f64> {
-        self.problem.link_loads(&self.state.rates)
-    }
-
     fn link_loads_into(&self, out: &mut Vec<f64>) {
         // The num layer's own buffer variant: same sums, no allocation.
         self.problem.link_loads_into(&self.state.rates, out);
@@ -155,17 +149,6 @@ impl RateAllocator for GradientAllocator {
 
     fn set_background_loads(&mut self, loads: &[f64]) {
         self.problem.set_background_loads(loads);
-    }
-
-    fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        // First-order engine: no second-order term to export (the
-        // default would reach the same empty answer via `link_hessians`;
-        // spelled out so the export path is visibly a no-op).
-        out.clear();
-    }
-
-    fn link_prices(&self) -> Vec<f64> {
-        self.state.prices.clone()
     }
 
     fn link_prices_into(&self, out: &mut Vec<f64>) {
@@ -251,7 +234,8 @@ mod tests {
         assert_eq!(alloc.flow_rate(FlowId(2)).unwrap().rate, 0.0);
         assert_eq!(alloc.flow_count(), 1);
         alloc.run_iterations(100);
-        let r = alloc.rates();
+        let mut r = Vec::new();
+        alloc.rates_into(&mut r);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].id, FlowId(2));
         assert!(r[0].rate.is_finite() && r[0].rate > 0.0);

@@ -112,21 +112,16 @@ impl MulticoreAllocator {
         self.grid.flow_count()
     }
 
-    /// All flows' current allocations (Gbit/s).
-    pub fn rates(&self) -> Vec<FlowRate> {
-        self.grid.rates()
-    }
-
-    /// [`MulticoreAllocator::rates`] into a caller-provided buffer
-    /// (cleared first) — the allocation-free per-tick export.
+    /// All flows' current allocations (Gbit/s) into a caller-provided
+    /// buffer (cleared first) — the allocation-free per-tick export.
     pub fn rates_into(&self, out: &mut Vec<FlowRate>) {
         self.grid.rates_into(out);
     }
 
     /// Drains the changed-rate set (see
     /// [`crate::RateAllocator::take_changed_rates`]).
-    pub fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        self.grid.take_changed_rates(out)
+    pub fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) {
+        self.grid.take_changed_rates(out);
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters, when running
@@ -344,13 +339,8 @@ impl MulticoreAllocator {
         self.run_iterations(1);
     }
 
-    /// Own per-link loads (see [`crate::RateAllocator::link_loads`]).
-    pub fn link_loads(&self) -> Vec<f64> {
-        self.grid.link_loads()
-    }
-
-    /// [`MulticoreAllocator::link_loads`] into a caller-provided buffer
-    /// (see [`crate::RateAllocator::link_loads_into`]).
+    /// Own per-link loads into a caller-provided buffer (see
+    /// [`crate::RateAllocator::link_loads_into`]).
     pub fn link_loads_into(&self, out: &mut Vec<f64>) {
         self.grid.link_loads_into(out);
     }
@@ -361,13 +351,8 @@ impl MulticoreAllocator {
         self.grid.set_background_loads(loads);
     }
 
-    /// Current per-link duals (see [`crate::RateAllocator::link_prices`]).
-    pub fn link_prices(&self) -> Vec<f64> {
-        self.grid.link_prices()
-    }
-
-    /// [`MulticoreAllocator::link_prices`] into a caller-provided buffer
-    /// (see [`crate::RateAllocator::link_prices_into`]).
+    /// Current per-link duals into a caller-provided buffer (see
+    /// [`crate::RateAllocator::link_prices_into`]).
     pub fn link_prices_into(&self, out: &mut Vec<f64>) {
         self.grid.link_prices_into(out);
     }
@@ -378,14 +363,8 @@ impl MulticoreAllocator {
         self.grid.set_link_prices(prices);
     }
 
-    /// Own per-link Hessian diagonal (see
-    /// [`crate::RateAllocator::link_hessians`]).
-    pub fn link_hessians(&self) -> Vec<f64> {
-        self.grid.link_hessians()
-    }
-
-    /// [`MulticoreAllocator::link_hessians`] into a caller-provided
-    /// buffer (see [`crate::RateAllocator::link_hessians_into`]).
+    /// Own per-link Hessian diagonal into a caller-provided buffer (see
+    /// [`crate::RateAllocator::link_hessians_into`]).
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
         self.grid.link_hessians_into(out);
     }
@@ -442,8 +421,14 @@ impl SpinBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SerialAllocator;
+    use crate::{RateAllocator, SerialAllocator};
     use flowtune_topo::ClosConfig;
+
+    fn rates_of(alloc: &impl RateAllocator) -> Vec<FlowRate> {
+        let mut out = Vec::new();
+        alloc.rates_into(&mut out);
+        out
+    }
 
     /// Deterministic pseudo-random flow set over a fabric.
     fn spray_flows(
@@ -478,8 +463,8 @@ mod tests {
         });
         serial.run_iterations(37);
         parallel.run_iterations(37);
-        let a = serial.rates();
-        let b = parallel.rates();
+        let a = rates_of(&serial);
+        let b = rates_of(&parallel);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.id, y.id);
@@ -545,8 +530,8 @@ mod tests {
         parallel.set_background_hessians(&bg_h);
         serial.run_iterations(37);
         parallel.run_iterations(37);
-        let a = serial.rates();
-        let b = parallel.rates();
+        let a = rates_of(&serial);
+        let b = rates_of(&parallel);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.id, y.id);
@@ -554,10 +539,17 @@ mod tests {
             assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
         }
         // And the exports agree bit-for-bit too.
-        for (x, y) in serial.link_loads().iter().zip(parallel.link_loads()) {
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        serial.link_loads_into(&mut x);
+        parallel.link_loads_into(&mut y);
+        assert_eq!(x.len(), y.len());
+        for (x, y) in x.iter().zip(&y) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        for (x, y) in serial.link_hessians().iter().zip(parallel.link_hessians()) {
+        serial.link_hessians_into(&mut x);
+        parallel.link_hessians_into(&mut y);
+        assert_eq!(x.len(), y.len());
+        for (x, y) in x.iter().zip(&y) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }
@@ -576,7 +568,7 @@ mod tests {
         });
         alloc.run_iterations(20);
         assert_eq!(alloc.flow_count(), 18);
-        for r in alloc.rates() {
+        for r in rates_of(&alloc) {
             assert!(r.rate.is_finite() && r.rate > 0.0);
             assert!(r.normalized.is_finite() && r.normalized >= 0.0);
         }
@@ -601,8 +593,8 @@ mod tests {
         spray_flows(&fabric, 48, |id, s, d, w, p| inc.add_flow(id, s, d, w, p));
         full.run_iterations(37);
         inc.run_iterations(37);
-        let a = full.rates();
-        let b = inc.rates();
+        let a = rates_of(&full);
+        let b = rates_of(&inc);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.id, y.id);
@@ -610,6 +602,31 @@ mod tests {
             assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
         }
         assert!(inc.dirty_counters().is_some());
+    }
+
+    #[test]
+    fn changed_rate_drain_is_the_changed_set_or_every_flow() {
+        // Incremental: a converged, quiet iteration drains fewer flows
+        // than are registered. Full sweep: every iteration drains them all.
+        let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
+        for incremental in [true, false] {
+            let cfg = AllocConfig {
+                incremental,
+                ..AllocConfig::default()
+            };
+            let mut alloc = MulticoreAllocator::new(&fabric, cfg);
+            spray_flows(&fabric, 16, |id, s, d, w, p| alloc.add_flow(id, s, d, w, p));
+            alloc.run_iterations(600);
+            let mut changed = Vec::new();
+            alloc.take_changed_rates(&mut changed);
+            alloc.iterate();
+            alloc.take_changed_rates(&mut changed);
+            if incremental {
+                assert!(changed.len() < alloc.flow_count(), "{changed:?}");
+            } else {
+                assert_eq!(changed, rates_of(&alloc));
+            }
+        }
     }
 
     #[test]

@@ -185,14 +185,9 @@ impl GridState {
         self.index.len()
     }
 
-    pub(crate) fn rates(&self) -> Vec<FlowRate> {
-        let mut out = Vec::with_capacity(self.index.len());
-        self.rates_into(&mut out);
-        out
-    }
-
-    /// [`GridState::rates`] into a caller-provided buffer (cleared
-    /// first) — the allocation-free per-tick export.
+    /// All flows' current allocations into a caller-provided buffer
+    /// (cleared first), in (FlowBlock, slot) order — the allocation-free
+    /// per-tick export.
     pub(crate) fn rates_into(&self, out: &mut Vec<FlowRate>) {
         out.clear();
         for worker in &self.workers {
@@ -208,12 +203,11 @@ impl GridState {
 
     /// Drains the changed-rate set: appends (after clearing `out`) the
     /// rates of every flow in a worker whose output may have moved since
-    /// the last drain, and returns `true`. Without a dirty set, falls
-    /// back to exporting everything and returns `false`.
-    pub(crate) fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
+    /// the last drain. Without a dirty set every flow counts as changed.
+    pub(crate) fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) {
         if self.dirty.is_none() {
             self.rates_into(out);
-            return false;
+            return;
         }
         out.clear();
         let Self { workers, dirty, .. } = self;
@@ -231,7 +225,6 @@ impl GridState {
                 });
             }
         }
-        true
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters, when the engine
@@ -250,17 +243,11 @@ impl GridState {
         })
     }
 
-    /// Own per-link loads, global-link indexed: each flow's current raw
-    /// rate summed onto the links its path crosses. Background loads are
-    /// *not* included (see [`crate::RateAllocator::link_loads`]).
-    pub(crate) fn link_loads(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.link_loads_into(&mut out);
-        out
-    }
-
-    /// [`GridState::link_loads`] into a caller-provided buffer — the
-    /// allocation-free export the sharded exchange calls every round.
+    /// Own per-link loads, global-link indexed, into a caller-provided
+    /// buffer: each flow's current raw rate summed onto the links its
+    /// path crosses. Background loads are *not* included (see
+    /// [`crate::RateAllocator::link_loads_into`]). The allocation-free
+    /// export the sharded exchange calls every round.
     pub(crate) fn link_loads_into(&self, out: &mut Vec<f64>) {
         let b = self.layout.blocks();
         out.clear();
@@ -279,16 +266,10 @@ impl GridState {
         }
     }
 
-    /// Current per-link duals, global-link indexed, read from the
-    /// authoritative (root) LinkBlock copies. Links outside any
-    /// LinkBlock (control links) report 0.
-    pub(crate) fn link_prices(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.link_prices_into(&mut out);
-        out
-    }
-
-    /// [`GridState::link_prices`] into a caller-provided buffer.
+    /// Current per-link duals, global-link indexed, into a
+    /// caller-provided buffer, read from the authoritative (root)
+    /// LinkBlock copies. Links outside any LinkBlock (control links)
+    /// report 0.
     pub(crate) fn link_prices_into(&self, out: &mut Vec<f64>) {
         let b = self.layout.blocks();
         out.clear();
@@ -424,18 +405,12 @@ impl GridState {
         Self::refill_bg(&self.layout, &mut self.bg, loads);
     }
 
-    /// Own per-link Hessian diagonal, global-link indexed: `Σ ∂x/∂p`
-    /// over this engine's flows crossing each link. For the log-utility
-    /// hot path `∂x/∂p = −x/λ = −x²/w`, so it is reconstructed from the
-    /// stored rates and weights — the same values the engine's own rate
-    /// pass accumulates into `Accums::up_h`/`down_h`.
-    pub(crate) fn link_hessians(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.link_hessians_into(&mut out);
-        out
-    }
-
-    /// [`GridState::link_hessians`] into a caller-provided buffer.
+    /// Own per-link Hessian diagonal, global-link indexed, into a
+    /// caller-provided buffer: `Σ ∂x/∂p` over this engine's flows
+    /// crossing each link. For the log-utility hot path
+    /// `∂x/∂p = −x/λ = −x²/w`, so it is reconstructed from the stored
+    /// rates and weights — the same values the engine's own rate pass
+    /// accumulates into `Accums::up_h`/`down_h`.
     pub(crate) fn link_hessians_into(&self, out: &mut Vec<f64>) {
         let b = self.layout.blocks();
         out.clear();
@@ -821,24 +796,18 @@ impl SerialAllocator {
         self.grid.flow_count()
     }
 
-    /// All flows' current allocations (Gbit/s), in deterministic
-    /// (FlowBlock, slot) order.
-    pub fn rates(&self) -> Vec<FlowRate> {
-        self.grid.rates()
-    }
-
-    /// [`SerialAllocator::rates`] into a caller-provided buffer (cleared
-    /// first) — the allocation-free per-tick export.
+    /// All flows' current allocations (Gbit/s) into a caller-provided
+    /// buffer (cleared first), in deterministic (FlowBlock, slot) order —
+    /// the allocation-free per-tick export.
     pub fn rates_into(&self, out: &mut Vec<FlowRate>) {
         self.grid.rates_into(out);
     }
 
-    /// Drains the changed-rate set into `out` and returns `true`, or
-    /// falls back to a full [`SerialAllocator::rates_into`] export and
-    /// returns `false` when not running incrementally (see
+    /// Drains the changed-rate set into `out`, or exports every flow when
+    /// not running incrementally (see
     /// [`crate::RateAllocator::take_changed_rates`]).
-    pub fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        self.grid.take_changed_rates(out)
+    pub fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) {
+        self.grid.take_changed_rates(out);
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters, when running
@@ -887,12 +856,7 @@ impl SerialAllocator {
         }
     }
 
-    /// Own per-link loads (see [`crate::RateAllocator::link_loads`]).
-    pub fn link_loads(&self) -> Vec<f64> {
-        self.grid.link_loads()
-    }
-
-    /// [`SerialAllocator::link_loads`] into a caller-provided buffer (see
+    /// Own per-link loads into a caller-provided buffer (see
     /// [`crate::RateAllocator::link_loads_into`]).
     pub fn link_loads_into(&self, out: &mut Vec<f64>) {
         self.grid.link_loads_into(out);
@@ -904,13 +868,8 @@ impl SerialAllocator {
         self.grid.set_background_loads(loads);
     }
 
-    /// Current per-link duals (see [`crate::RateAllocator::link_prices`]).
-    pub fn link_prices(&self) -> Vec<f64> {
-        self.grid.link_prices()
-    }
-
-    /// [`SerialAllocator::link_prices`] into a caller-provided buffer
-    /// (see [`crate::RateAllocator::link_prices_into`]).
+    /// Current per-link duals into a caller-provided buffer (see
+    /// [`crate::RateAllocator::link_prices_into`]).
     pub fn link_prices_into(&self, out: &mut Vec<f64>) {
         self.grid.link_prices_into(out);
     }
@@ -921,14 +880,8 @@ impl SerialAllocator {
         self.grid.set_link_prices(prices);
     }
 
-    /// Own per-link Hessian diagonal (see
-    /// [`crate::RateAllocator::link_hessians`]).
-    pub fn link_hessians(&self) -> Vec<f64> {
-        self.grid.link_hessians()
-    }
-
-    /// [`SerialAllocator::link_hessians`] into a caller-provided buffer
-    /// (see [`crate::RateAllocator::link_hessians_into`]).
+    /// Own per-link Hessian diagonal into a caller-provided buffer (see
+    /// [`crate::RateAllocator::link_hessians_into`]).
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
         self.grid.link_hessians_into(out);
     }
@@ -965,6 +918,24 @@ mod tests {
 
     fn fabric() -> TwoTierClos {
         TwoTierClos::build(ClosConfig::multicore(2, 2, 4))
+    }
+
+    fn rates_of(alloc: &SerialAllocator) -> Vec<FlowRate> {
+        let mut out = Vec::new();
+        alloc.rates_into(&mut out);
+        out
+    }
+
+    fn loads_of(alloc: &SerialAllocator) -> Vec<f64> {
+        let mut out = Vec::new();
+        alloc.link_loads_into(&mut out);
+        out
+    }
+
+    fn prices_of(alloc: &SerialAllocator) -> Vec<f64> {
+        let mut out = Vec::new();
+        alloc.link_prices_into(&mut out);
+        out
     }
 
     fn cfg() -> AllocConfig {
@@ -1101,7 +1072,7 @@ mod tests {
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p1);
         alloc.add_flow(FlowId(2), 0, 12, 1.0, &p2);
         alloc.run_iterations(200);
-        let loads = alloc.link_loads();
+        let loads = loads_of(&alloc);
         // The shared server-0 uplink carries both flows' raw rates …
         let shared = p1.links()[0];
         assert_eq!(shared, p2.links()[0]);
@@ -1111,7 +1082,7 @@ mod tests {
         assert!((loads[last1.index()] - 20.0).abs() < 1e-6);
         // Installing a background must NOT be echoed back by the export.
         alloc.set_background_loads(&vec![7.0; loads.len()]);
-        let again = alloc.link_loads();
+        let again = loads_of(&alloc);
         assert!((again[shared.index()] - 40.0).abs() < 1e-6, "no echo");
     }
 
@@ -1126,7 +1097,7 @@ mod tests {
         let p2 = f.path(0, 12, FlowId(2));
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p1);
         alloc.add_flow(FlowId(2), 0, 12, 1.0, &p2);
-        let mut bg = vec![0.0; alloc.link_loads().len()];
+        let mut bg = vec![0.0; loads_of(&alloc).len()];
         bg[p1.links()[0].index()] = 20.0;
         alloc.set_background_loads(&bg);
         alloc.run_iterations(400);
@@ -1185,15 +1156,13 @@ mod tests {
                 assert!(inc.remove_flow(victim));
             }
             if step == 40 {
-                let bg: Vec<f64> = (0..full.link_loads().len())
-                    .map(|l| (l % 5) as f64)
-                    .collect();
+                let bg: Vec<f64> = (0..loads_of(&full).len()).map(|l| (l % 5) as f64).collect();
                 full.set_background_loads(&bg);
                 inc.set_background_loads(&bg);
             }
             full.iterate();
             inc.iterate();
-            let a = full.rates();
+            let a = rates_of(&full);
             inc.rates_into(&mut scratch);
             assert_eq!(a.len(), scratch.len());
             for (x, y) in a.iter().zip(&scratch) {
@@ -1209,7 +1178,7 @@ mod tests {
                     y.normalized,
                 );
             }
-            assert_eq!(full.link_prices(), inc.link_prices());
+            assert_eq!(prices_of(&full), prices_of(&inc));
         }
         assert!(inc.dirty_counters().is_some());
         assert!(full.dirty_counters().is_none());
@@ -1240,11 +1209,11 @@ mod tests {
                 inc.add_flow(FlowId(3), 5, 9, 2.0, &p3);
             }
             inc.iterate();
-            assert!(inc.take_changed_rates(&mut changed));
+            inc.take_changed_rates(&mut changed);
             for r in &changed {
                 replay.insert(r.id, (r.rate.to_bits(), r.normalized.to_bits()));
             }
-            for r in inc.rates() {
+            for r in rates_of(&inc) {
                 assert_eq!(
                     replay.get(&r.id),
                     Some(&(r.rate.to_bits(), r.normalized.to_bits())),
@@ -1257,11 +1226,32 @@ mod tests {
         inc.iterate();
         inc.take_changed_rates(&mut changed);
         inc.iterate();
-        assert!(inc.take_changed_rates(&mut changed));
+        inc.take_changed_rates(&mut changed);
+        assert!(changed.len() < inc.flow_count());
         assert!(
             changed.is_empty(),
             "converged tick still exported {changed:?}"
         );
+    }
+
+    #[test]
+    fn full_sweep_drain_is_every_flow() {
+        // Without a dirty set every flow counts as changed: even a
+        // converged, quiet iteration drains the whole flow set.
+        let f = fabric();
+        let mut full = SerialAllocator::new(&f, cfg());
+        for (id, src, dst) in [(1u64, 0, 8), (2, 0, 12), (3, 5, 9)] {
+            let p = f.path(src, dst, FlowId(id));
+            full.add_flow(FlowId(id), src, dst, 1.0, &p);
+        }
+        full.run_iterations(400);
+        let mut changed = Vec::new();
+        for _ in 0..2 {
+            full.iterate();
+            full.take_changed_rates(&mut changed);
+            assert_eq!(changed.len(), full.flow_count());
+            assert_eq!(changed, rates_of(&full));
+        }
     }
 
     #[test]

@@ -67,12 +67,13 @@ fn bench_service_tick(c: &mut Criterion) {
         }
         // Converge first so the bench measures the suppressed-steady-state
         // walk, not transient update encoding.
+        let mut updates = Vec::new();
         for _ in 0..200 {
-            svc.tick();
+            svc.tick_into(&mut updates);
         }
         group.throughput(Throughput::Elements(flows as u64));
         group.bench_with_input(BenchmarkId::new("steady_state", flows), &flows, |b, _| {
-            b.iter(|| svc.tick())
+            b.iter(|| svc.tick_into(&mut updates))
         });
     }
     group.finish();

@@ -96,8 +96,9 @@ fn main() {
         };
         svc.on_message(msg).expect("fresh tokens");
     }
+    let mut updates = Vec::new();
     for _ in 0..60 {
-        svc.tick();
+        svc.tick_into(&mut updates);
     }
     let rates: Vec<f64> = (1..=3)
         .filter_map(|t| svc.flow_rate_gbps(flowtune_proto::Token::new(t)))

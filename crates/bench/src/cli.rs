@@ -156,7 +156,7 @@ pub fn wire_cluster(
                     .expect("bench mesh transports split infallibly")
             })
             .collect();
-        PeerCluster::from_peers(peers)
+        PeerCluster::from_shards(peers)
     }
     match transport {
         WireTransport::InProcess => unreachable!("handled above"),

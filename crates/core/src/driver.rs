@@ -18,7 +18,7 @@
 //!
 //! [`TickLoop`] wraps a driver together with its tick cadence, so
 //! embedders poll one clock-driven object instead of hand-rolling
-//! sleep/accumulator loops around `tick()`.
+//! accumulator loops around the tick.
 
 use flowtune_alloc::RateAllocator;
 use flowtune_proto::{Message, Token};
@@ -55,21 +55,30 @@ pub trait TickDriver: std::fmt::Debug + Send {
     fn on_message(&mut self, msg: Message) -> Result<(), ServiceError>;
 
     /// One allocator tick (§6.2: every 10 µs): runs the engine(s) and
-    /// returns `(source server, update)` pairs in ascending token order.
-    fn tick(&mut self) -> Vec<(u16, Message)>;
-
-    /// [`TickDriver::tick`] with engine panics contained where the
-    /// implementation supports it: a sharded control plane reports a
-    /// panicking shard as [`ServiceError::ShardPanicked`] (siblings and
-    /// the worker pool survive) instead of aborting the embedder's loop.
-    /// The default simply runs `tick` — single-engine services have no
-    /// isolation boundary to contain a panic behind.
+    /// writes `(source server, update)` pairs in ascending token order
+    /// into `out`, which is cleared first. A tick into a warm buffer does
+    /// not allocate.
     ///
     /// # Errors
-    /// [`ServiceError::ShardPanicked`] from drivers with per-shard panic
-    /// isolation.
-    fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
-        Ok(self.tick())
+    /// A sharded control plane reports a failed shard — an engine panic
+    /// in-process ([`ServiceError::ShardPanicked`]: siblings and the
+    /// worker pool survive) or a dead peer on the wire
+    /// ([`ServiceError::PeerFailed`]) — instead of aborting the
+    /// embedder's loop; `out` is then left empty. A single service never
+    /// fails.
+    fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError>;
+
+    /// [`TickDriver::tick_into`] into a fresh buffer, for callers that
+    /// treat a failed shard as fatal.
+    ///
+    /// # Panics
+    /// Panics with the [`ServiceError`] if a shard failed.
+    fn tick(&mut self) -> Vec<(u16, Message)> {
+        let mut out = Vec::new();
+        if let Err(e) = self.tick_into(&mut out) {
+            panic!("{e}");
+        }
+        out
     }
 
     /// Current normalized rate of an active flowlet, Gbit/s.
@@ -111,12 +120,8 @@ impl TickDriver for BoxTickDriver {
         (**self).on_message(msg)
     }
 
-    fn tick(&mut self) -> Vec<(u16, Message)> {
-        (**self).tick()
-    }
-
-    fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
-        (**self).try_tick()
+    fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
+        (**self).tick_into(out)
     }
 
     fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
@@ -153,8 +158,9 @@ impl<E: RateAllocator> TickDriver for AllocatorService<E> {
         AllocatorService::on_message(self, msg)
     }
 
-    fn tick(&mut self) -> Vec<(u16, Message)> {
-        AllocatorService::tick(self)
+    fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
+        AllocatorService::tick_into(self, out);
+        Ok(())
     }
 
     fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
@@ -186,20 +192,15 @@ impl<E: RateAllocator> TickDriver for AllocatorService<E> {
     }
 }
 
-/// The per-tick callback [`TickLoop::run_wall`] hands each tick's update
-/// stream to, together with the driver for rate queries.
-pub type UpdateSink<'a, D> = dyn FnMut(&mut D, Vec<(u16, Message)>) + 'a;
-
 /// A [`TickDriver`] plus its tick cadence: the adapter that owns *when*
 /// the allocator ticks, so embedders stop hand-rolling sleep loops.
 ///
 /// The loop is clocked in **picoseconds on the caller's time base** —
 /// simulated time (the fluid driver polls it with its simulation clock)
-/// or wall time (map `Instant::elapsed()` to ps, or use
-/// [`TickLoop::run_wall`]). This is what makes it async-friendly: an
-/// event-loop embedder sleeps (or `await`s a timer) until
-/// [`TickLoop::next_tick_ps`], then calls [`TickLoop::poll`] — no thread
-/// is parked inside this type, and `poll` never blocks. A poll that
+/// or wall time (map `Instant::elapsed()` to ps). This is what makes it
+/// async-friendly: an event-loop embedder sleeps (or `await`s a timer)
+/// until [`TickLoop::next_tick_ps`], then calls [`TickLoop::poll`] — no
+/// thread is parked inside this type, and `poll` never blocks. A poll that
 /// arrives late catches up one tick per call, so
 /// `while let Some(updates) = tick_loop.poll(now_ps) { … }` runs exactly
 /// the ticks the cadence owed at `now_ps`.
@@ -273,28 +274,6 @@ impl<D: TickDriver> TickLoop<D> {
         self.ticks += 1;
         Some(self.driver.tick())
     }
-
-    /// Drives the cadence against the wall clock for `duration`,
-    /// sleeping between ticks and handing every tick's updates (with the
-    /// driver, for rate queries) to `sink` — the blocking convenience
-    /// for embedders without an event loop of their own.
-    pub fn run_wall(&mut self, duration: std::time::Duration, sink: &mut UpdateSink<'_, D>) {
-        let t0 = std::time::Instant::now();
-        let origin = self.next_ps;
-        let horizon = duration.as_nanos().saturating_mul(1000) as u64;
-        loop {
-            let elapsed = (t0.elapsed().as_nanos().saturating_mul(1000) as u64).min(horizon);
-            let now_ps = origin + elapsed;
-            while let Some(updates) = self.poll(now_ps) {
-                sink(&mut self.driver, updates);
-            }
-            if elapsed >= horizon {
-                return;
-            }
-            let wait_ps = self.next_ps.saturating_sub(now_ps);
-            std::thread::sleep(std::time::Duration::from_nanos(wait_ps.div_ceil(1000)));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -339,8 +318,10 @@ mod tests {
         assert_eq!(drv.engine_name(), "serial");
         assert_eq!(drv.fabric().config().server_count(), 144);
         assert_eq!(drv.stats().starts, 1);
-        // The default fallible tick simply runs the tick.
-        assert!(drv.try_tick().is_ok());
+        // A single service's tick never fails; the buffer is cleared.
+        let mut out = vec![(7, start(9))];
+        assert!(drv.tick_into(&mut out).is_ok());
+        assert!(out.iter().all(|&(src, _)| src == 0), "{out:?}");
     }
 
     #[test]
@@ -367,22 +348,6 @@ mod tests {
         assert_eq!(caught_up, 4, "ticks at 20, 30, 40, 50");
         assert_eq!(tl.next_tick_ps(), 60);
         assert_eq!(tl.driver().stats().iterations, tl.ticks());
-    }
-
-    #[test]
-    fn tick_loop_run_wall_drives_the_cadence() {
-        // A coarse 2 ms interval keeps the assertion robust on loaded
-        // machines: over 11 ms the catch-up loop owes 5–6 ticks and can
-        // never run more than duration/interval + 1.
-        let mut tl = TickLoop::new(service(), 2_000_000_000);
-        tl.driver_mut().on_message(start(1)).unwrap();
-        let mut polled = 0u64;
-        tl.run_wall(std::time::Duration::from_millis(11), &mut |drv, _| {
-            polled += 1;
-            assert!(drv.flow_rate_gbps(Token::new(1)).is_some());
-        });
-        assert_eq!(polled, tl.ticks());
-        assert!((5..=6).contains(&tl.ticks()), "{} ticks", tl.ticks());
     }
 
     #[test]

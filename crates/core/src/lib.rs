@@ -54,13 +54,15 @@
 //! let start = agent.on_backlog(7, 140, 1_000_000, 0).unwrap();
 //! allocator.on_message(start).expect("token is fresh");
 //!
-//! // One allocator tick (the paper runs one every 10 µs) produces rate
-//! // updates for whoever changed by more than the threshold.
-//! let updates = allocator.tick();
+//! // One allocator tick (the paper runs one every 10 µs) writes rate
+//! // updates for whoever changed by more than the threshold into a
+//! // caller-owned buffer, reused from tick to tick.
+//! let mut updates = Vec::new();
+//! allocator.tick_into(&mut updates);
 //! assert_eq!(updates.len(), 1);
-//! for (dst_server, msg) in updates {
-//!     assert_eq!(dst_server, 0);
-//!     agent.on_rate_update(&msg);
+//! for (dst_server, msg) in &updates {
+//!     assert_eq!(*dst_server, 0);
+//!     agent.on_rate_update(msg);
 //! }
 //! // The only flow in an idle network gets its access line rate, less
 //! // the 1% capacity headroom the update threshold reserves (§6.4).

@@ -43,8 +43,7 @@
 //! with every frame on time the two instantiations are bit-for-bit
 //! identical: same update streams, rates, counters and migrations.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::time::Duration;
 
 use flowtune_alloc::RateAllocator;
@@ -147,15 +146,6 @@ impl<B: ShardBackend> ShardRouter<B> {
         let servers = backend.service(0).fabric().config().server_count();
         let placement = Placement::contiguous(servers, backend.shards().len());
         Self::assemble(backend, placement)
-    }
-
-    /// [`ShardRouter::from_shards`] under the name the wire cluster is
-    /// built with: its shards are peers.
-    ///
-    /// # Panics
-    /// As [`ShardRouter::from_shards`].
-    pub fn from_peers(peers: Vec<B::Shard>) -> Self {
-        Self::from_shards(peers)
     }
 
     /// [`ShardRouter::from_shards`] with an explicit endpoint→shard
@@ -288,46 +278,6 @@ impl<B: ShardBackend> ShardRouter<B> {
                 self.local.rejected += 1;
                 Err(ServiceError::UnexpectedRateUpdate)
             }
-        }
-    }
-
-    /// One tick of every shard (plus the exchange round when due), with
-    /// the per-shard update streams merged into `out` in token order.
-    /// `out` is cleared first; a converged tick with nothing to report
-    /// allocates nothing.
-    ///
-    /// # Errors
-    /// The backend's [`ServiceError`] — [`ServiceError::ShardPanicked`]
-    /// in-process, [`ServiceError::PeerFailed`] on the wire — naming the
-    /// failed shard. The tick's merged stream is dropped: it would be
-    /// missing the failed shard's updates.
-    pub fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
-        out.clear();
-        self.backend.tick(&mut self.streams)?;
-        merge_by_token_into(&mut self.streams, out);
-        Ok(())
-    }
-
-    /// [`ShardRouter::try_tick_into`] into a fresh buffer.
-    ///
-    /// # Errors
-    /// As [`ShardRouter::try_tick_into`].
-    pub fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
-        // flowtune-lint: allow(hot-path-alloc, "owned-stream entry point; steady-state callers use try_tick_into")
-        let mut out = Vec::new();
-        self.try_tick_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`ShardRouter::try_tick`] for callers that treat a failed shard
-    /// as fatal.
-    ///
-    /// # Panics
-    /// Panics with the [`ServiceError`] if a shard failed.
-    pub fn tick(&mut self) -> Vec<(u16, Message)> {
-        match self.try_tick() {
-            Ok(updates) => updates,
-            Err(e) => panic!("{e}"),
         }
     }
 
@@ -481,12 +431,20 @@ impl<B: ShardBackend> TickDriver for ShardRouter<B> {
         ShardRouter::on_message(self, msg)
     }
 
-    fn tick(&mut self) -> Vec<(u16, Message)> {
-        ShardRouter::tick(self)
-    }
-
-    fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
-        ShardRouter::try_tick(self)
+    /// One tick of every shard (plus the exchange round when due), with
+    /// the per-shard update streams merged into `out` in token order.
+    /// Ticks into warm buffers allocate nothing.
+    ///
+    /// # Errors
+    /// The backend's [`ServiceError`] — [`ServiceError::ShardPanicked`]
+    /// in-process, [`ServiceError::PeerFailed`] on the wire — naming the
+    /// failed shard. `out` is left empty: the merged stream would be
+    /// missing the failed shard's updates.
+    fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
+        out.clear();
+        self.backend.tick(&mut self.streams)?;
+        merge_by_token_into(&mut self.streams, out);
+        Ok(())
     }
 
     fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
@@ -526,35 +484,20 @@ fn update_token(msg: &Message) -> Token {
     }
 }
 
-/// K-way merge of token-ordered update streams into a caller-owned
-/// buffer via a min-heap of stream heads (`O(total · log k)`): clears
-/// `out`, drains every stream in `streams` (their capacity survives for
-/// reuse), and appends the merged order. Token sets are disjoint across
-/// shards so ties cannot occur; the stream index in the heap key keeps
-/// the order deterministic even if a caller violated that. A tick whose
-/// streams are all empty allocates nothing.
+/// Merges token-ordered update streams into a caller-owned buffer: clears
+/// `out`, drains every stream in `streams` into it (their capacity
+/// survives for reuse) and sorts the result by token in place. Token sets
+/// are disjoint across shards, so the sort key is unique and the order is
+/// exactly the one an unsharded service emits. A single stream passes
+/// through as-is; with warm buffers a merge allocates nothing.
 pub fn merge_by_token_into(streams: &mut [Vec<(u16, Message)>], out: &mut Vec<(u16, Message)>) {
     out.clear();
     let total: usize = streams.iter().map(Vec::len).sum();
-    if total == 0 {
-        return;
-    }
     out.reserve(total);
-    if streams.len() == 1 {
-        out.append(&mut streams[0]);
-        return;
+    for stream in streams.iter_mut() {
+        out.append(stream);
     }
-    let mut iters: Vec<_> = streams.iter_mut().map(|v| v.drain(..).peekable()).collect();
-    let mut heap: BinaryHeap<Reverse<(Token, usize)>> = BinaryHeap::with_capacity(iters.len());
-    for (i, it) in iters.iter_mut().enumerate() {
-        if let Some((_, msg)) = it.peek() {
-            heap.push(Reverse((update_token(msg), i)));
-        }
-    }
-    while let Some(Reverse((_, i))) = heap.pop() {
-        out.push(iters[i].next().expect("heap entry implies a stream head"));
-        if let Some((_, msg)) = iters[i].peek() {
-            heap.push(Reverse((update_token(msg), i)));
-        }
+    if streams.len() > 1 {
+        out.sort_unstable_by_key(|(_, msg)| update_token(msg));
     }
 }

@@ -16,7 +16,7 @@
 //!    consumes flowlet start/end notifications, keeps one flow table (a
 //!    dense slot per flowlet, indexed by engine flow id, holding its
 //!    registration and §6.4 filter memory), and on every
-//!    [`AllocatorService::tick`] (§6.2: every 10 µs) emits
+//!    [`AllocatorService::tick_into`] (§6.2: every 10 µs) emits
 //!    threshold-filtered rate updates. It is sans-IO — the network
 //!    simulator delivers the messages over simulated TCP, the examples
 //!    call it directly.
@@ -149,8 +149,8 @@ pub enum ServiceError {
     /// [`Engine::Sharded`] named an impossible partition (zero shards, or
     /// shards nested inside shards).
     BadShards(&'static str),
-    /// A shard's engine panicked during
-    /// [`ShardRouter::try_tick`](crate::ShardRouter::try_tick) in-process. The
+    /// A shard's engine panicked during an in-process sharded
+    /// [`TickDriver::tick_into`](crate::TickDriver::tick_into). The
     /// sibling shards completed the tick and the worker pool survives
     /// (the panic payload is printed by the panic hook as usual); the
     /// merged update stream for the tick is dropped because it would be
@@ -679,10 +679,11 @@ impl<E: RateAllocator> AllocatorService<E> {
     }
 
     /// One allocator tick (§6.2: every 10 µs): runs the configured number
-    /// of engine iterations and returns `(source server, update)` pairs
-    /// for every flow whose normalized rate moved beyond the threshold,
-    /// in token order.
-    pub fn tick(&mut self) -> Vec<(u16, Message)> {
+    /// of engine iterations and writes `(source server, update)` pairs
+    /// into `out` (cleared first) for every flow whose normalized rate
+    /// moved beyond the threshold, in token order. A tick into a warm
+    /// buffer does not allocate.
+    pub fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
         let t0 = Instant::now();
         self.engine.run_iterations(self.cfg.iterations_per_tick);
         self.stats.iterations += self.cfg.iterations_per_tick as u64;
@@ -694,19 +695,20 @@ impl<E: RateAllocator> AllocatorService<E> {
             self.stats.dirty_flows = dirty_flows;
             self.stats.dirty_links = dirty_links;
         }
-        let out = self.export();
+        self.export(out);
         self.timings.export += t1.elapsed();
-        out
     }
 
     /// The export: drain the engine's changed rates (an incremental
     /// engine's changed set; every flow for a full-sweep engine), pair
     /// each with its slot, sort into token order and run the §6.4 filter
-    /// on the slot's memory. A flow the engine did not drain has not moved
-    /// since it was last filtered, so the filter would suppress it — it is
-    /// counted suppressed directly, keeping every [`ServiceStats`] counter
-    /// independent of the engine kind.
-    fn export(&mut self) -> Vec<(u16, Message)> {
+    /// on the slot's memory, writing what passes into `out`. A flow the
+    /// engine did not drain has not moved since it was last filtered, so
+    /// the filter would suppress it — it is counted suppressed directly,
+    /// keeping every [`ServiceStats`] counter independent of the engine
+    /// kind.
+    fn export(&mut self, out: &mut Vec<(u16, Message)>) {
+        out.clear();
         self.engine.take_changed_rates(&mut self.export_buf);
         self.changed_buf.clear();
         for r in &self.export_buf {
@@ -715,8 +717,6 @@ impl<E: RateAllocator> AllocatorService<E> {
                 .push((self.slots[slot].flow.token, slot as u32, r.normalized));
         }
         self.changed_buf.sort_unstable_by_key(|e| e.0);
-        // flowtune-lint: allow(hot-path-alloc, "export returns an owned batch by contract; zero-alloc callers use rates_into")
-        let mut out = Vec::new();
         for &(token, slot, gbps) in &self.changed_buf {
             let entry = &mut self.slots[slot as usize];
             if self.filter.should_send(&mut entry.last_sent, gbps) {
@@ -730,7 +730,6 @@ impl<E: RateAllocator> AllocatorService<E> {
         }
         self.stats.updates_sent += out.len() as u64;
         self.stats.updates_suppressed += (self.index.len() - out.len()) as u64;
-        out
     }
 
     /// Current normalized rate of an active flowlet, Gbit/s.
@@ -840,10 +839,12 @@ impl<E: RateAllocator> AllocatorService<E> {
     }
 
     /// The engine's own per-link loads (raw rates summed per global link;
-    /// see [`RateAllocator::link_loads`]). Empty for engines that do not
-    /// price fabric links.
+    /// see [`RateAllocator::link_loads_into`]). Empty for engines that do
+    /// not price fabric links. Telemetry path — allocates.
     pub fn link_loads(&self) -> Vec<f64> {
-        self.engine.link_loads()
+        let mut out = Vec::new();
+        self.link_loads_into(&mut out);
+        out
     }
 
     /// [`AllocatorService::link_loads`] into a caller-provided buffer
@@ -860,15 +861,9 @@ impl<E: RateAllocator> AllocatorService<E> {
         self.engine.set_background_loads(loads);
     }
 
-    /// The engine's own per-link Hessian diagonal (see
-    /// [`RateAllocator::link_hessians`]). Empty for engines without a
-    /// second-order price term.
-    pub fn link_hessians(&self) -> Vec<f64> {
-        self.engine.link_hessians()
-    }
-
-    /// [`AllocatorService::link_hessians`] into a caller-provided buffer
-    /// (see [`RateAllocator::link_hessians_into`]).
+    /// The engine's own per-link Hessian diagonal into a caller-provided
+    /// buffer (see [`RateAllocator::link_hessians_into`]). Left empty by
+    /// engines without a second-order price term.
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
         self.engine.link_hessians_into(out);
     }
@@ -886,15 +881,9 @@ impl<E: RateAllocator> AllocatorService<E> {
         self.engine.rates_into(out);
     }
 
-    /// The engine's current per-link duals (see
-    /// [`RateAllocator::link_prices`]). Empty for engines that do not
-    /// price fabric links.
-    pub fn link_prices(&self) -> Vec<f64> {
-        self.engine.link_prices()
-    }
-
-    /// [`AllocatorService::link_prices`] into a caller-provided buffer
-    /// (see [`RateAllocator::link_prices_into`]).
+    /// The engine's current per-link duals into a caller-provided buffer
+    /// (see [`RateAllocator::link_prices_into`]). Left empty by engines
+    /// that do not price fabric links.
     pub fn link_prices_into(&self, out: &mut Vec<f64>) {
         self.engine.link_prices_into(out);
     }
@@ -921,6 +910,7 @@ impl<E: RateAllocator> AllocatorService<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TickDriver;
     use flowtune_topo::ClosConfig;
 
     fn fabric() -> TwoTierClos {

@@ -46,16 +46,17 @@
 //!    pool's fan-out *is* the barrier), the backend runs the cross-shard
 //!    consensus of the exchange (when due) on the caller thread and
 //!    installs background loads/Hessians and consensus duals into the
-//!    shards; the router then k-way merges the shards' token-ordered
-//!    update streams into one (disjoint token sets make the merge exact).
+//!    shards; the router then merges the shards' token-ordered update
+//!    streams into one (disjoint token sets make the merge exact).
 //!
 //! [`FlowtuneConfig::parallel_shards`](crate::FlowtuneConfig) (default
 //! on) selects phase 1's concurrent path; turning it off ticks the shards
 //! sequentially on the caller — same bytes out, useful on single-core
 //! hosts and as the reference in equivalence tests. A shard whose engine
 //! panics mid-tick is *contained*: siblings complete, the pool survives,
-//! and [`ShardRouter::try_tick`] reports
-//! [`ServiceError::ShardPanicked`] instead of aborting the process.
+//! and the router's [`TickDriver::tick_into`](crate::TickDriver::tick_into)
+//! reports [`ServiceError::ShardPanicked`] instead of aborting the
+//! process.
 //!
 //! # Cross-shard link-state exchange
 //!
@@ -481,7 +482,7 @@ impl<E: RateAllocator> InProcessBackend<E> {
 /// the caller, with identical results.
 fn tick_shard<E: RateAllocator>(item: &mut ShardItem<'_, E>, export: bool) {
     let (shard, (slot, stream)) = item;
-    **stream = shard.tick();
+    shard.tick_into(stream);
     if export {
         shard.link_loads_into(&mut slot.loads);
         shard.link_hessians_into(&mut slot.hessians);
@@ -494,6 +495,7 @@ mod tests {
     use super::*;
     use crate::placement::TrafficMatrix;
     use crate::router::merge_by_token_into;
+    use crate::TickDriver;
     use flowtune_proto::{Rate16, Token};
     use flowtune_topo::ClosConfig;
 
@@ -730,7 +732,12 @@ mod tests {
         let exports: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = twin
             .shards()
             .iter()
-            .map(|s| (s.link_loads(), s.link_prices(), s.link_hessians()))
+            .map(|s| {
+                let (mut prices, mut hess) = (Vec::new(), Vec::new());
+                s.link_prices_into(&mut prices);
+                s.link_hessians_into(&mut hess);
+                (s.link_loads(), prices, hess)
+            })
             .collect();
         let dirty: Vec<Vec<bool>> = exports
             .iter()

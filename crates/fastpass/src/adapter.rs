@@ -61,7 +61,7 @@ pub struct FastpassAdapter {
     line_rate_gbps: f64,
     /// Timeslots advanced per `iterate()` call.
     slots_per_iteration: usize,
-    /// Flow table; `BTreeMap` keeps demand topping-up and `rates()`
+    /// Flow table; `BTreeMap` keeps demand topping-up and `rates_into`
     /// order deterministic (sorted by flow id).
     flows: BTreeMap<FlowId, FpFlow>,
     pairs: BTreeMap<(u16, u16), PairState>,
@@ -196,18 +196,16 @@ impl RateAllocator for FastpassAdapter {
         self.flows.len()
     }
 
-    fn rates(&self) -> Vec<FlowRate> {
-        self.flows
-            .iter()
-            .map(|(&id, f)| {
-                let gbps = self.flow_rate_of(f);
-                FlowRate {
-                    id,
-                    rate: gbps,
-                    normalized: gbps,
-                }
-            })
-            .collect()
+    fn rates_into(&self, out: &mut Vec<FlowRate>) {
+        out.clear();
+        out.extend(self.flows.iter().map(|(&id, f)| {
+            let gbps = self.flow_rate_of(f);
+            FlowRate {
+                id,
+                rate: gbps,
+                normalized: gbps,
+            }
+        }));
     }
 
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
@@ -220,48 +218,26 @@ impl RateAllocator for FastpassAdapter {
         })
     }
 
-    fn link_loads(&self) -> Vec<f64> {
-        // Deliberately empty: the arbiter allocates endpoint-pair
-        // timeslots and never prices fabric links, so it has no per-link
-        // load vector to export. A sharded control plane treats an empty
-        // export as "nothing to share" — inter-shard link-state exchange
-        // degrades to a no-op over Fastpass shards, exactly like real
-        // Fastpass arbiters, which coordinate through timeslot horizons
-        // rather than link duals.
-        Vec::new()
-    }
-
-    fn link_loads_into(&self, out: &mut Vec<f64>) {
-        // Empty on purpose, like `link_loads`: clearing the buffer is the
-        // whole export.
-        out.clear();
-    }
+    // The link-state exports (`link_loads_into`, `link_hessians_into`,
+    // `link_prices_into`) keep their defaults and leave the buffer empty
+    // on purpose: the arbiter allocates endpoint-pair timeslots and never
+    // prices fabric links, so it has no per-link load, Hessian or dual to
+    // export. A sharded control plane treats an empty export as "nothing
+    // to share" — inter-shard link-state exchange degrades to a no-op
+    // over Fastpass shards, exactly like real Fastpass arbiters, which
+    // coordinate through timeslot horizons rather than link duals.
 
     fn set_background_loads(&mut self, loads: &[f64]) {
-        // Deliberately a no-op (see `link_loads`): matchings are driven
-        // by outstanding per-pair demand, and an exogenous per-link load
-        // has no seat in a maximal matching over endpoint pairs.
+        // Deliberately a no-op (see the link-state exports above):
+        // matchings are driven by outstanding per-pair demand, and an
+        // exogenous per-link load has no seat in a maximal matching over
+        // endpoint pairs.
         let _ = loads;
     }
 
-    fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        // Empty on purpose (see `link_loads`).
-        out.clear();
-    }
-
-    fn link_prices(&self) -> Vec<f64> {
-        // No duals either (see `link_loads`): the arbiter has no price
-        // state, so it abstains from inter-shard dual consensus.
-        Vec::new()
-    }
-
-    fn link_prices_into(&self, out: &mut Vec<f64>) {
-        // Empty on purpose (see `link_prices`).
-        out.clear();
-    }
-
     fn set_link_prices(&mut self, prices: &[f64]) {
-        // Deliberately a no-op (see `link_prices`).
+        // Deliberately a no-op: the arbiter has no price state, so it
+        // abstains from inter-shard dual consensus.
         let _ = prices;
     }
 
@@ -414,7 +390,9 @@ mod tests {
         let mut a = FastpassAdapter::new(&f, AllocConfig::default());
         add(&mut a, &f, 9, 0, 140, 1.0);
         add(&mut a, &f, 3, 1, 141, 1.0);
-        let ids: Vec<u64> = a.rates().iter().map(|r| r.id.0).collect();
+        let mut rates = Vec::new();
+        a.rates_into(&mut rates);
+        let ids: Vec<u64> = rates.iter().map(|r| r.id.0).collect();
         assert_eq!(ids, vec![3, 9], "deterministic: sorted by flow id");
     }
 

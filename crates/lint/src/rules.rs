@@ -107,7 +107,7 @@ pub const HOT_MODULES: &[HotModule] = &[
     HotModule {
         path: "crates/core/src/service.rs",
         hot_fns: &[
-            "tick",
+            "tick_into",
             "export",
             "rates_into",
             "link_loads_into",
@@ -130,7 +130,7 @@ pub const HOT_MODULES: &[HotModule] = &[
     },
     HotModule {
         path: "crates/core/src/router.rs",
-        hot_fns: &["tick", "try_tick", "try_tick_into"],
+        hot_fns: &["tick_into", "merge_by_token_into"],
     },
     HotModule {
         path: "crates/core/src/sharded.rs",
@@ -138,7 +138,7 @@ pub const HOT_MODULES: &[HotModule] = &[
     },
     HotModule {
         path: "crates/core/src/driver.rs",
-        hot_fns: &["tick", "try_tick"],
+        hot_fns: &["tick_into"],
     },
     HotModule {
         path: "crates/core/src/scenario.rs",
@@ -208,7 +208,7 @@ pub const PANIC_SCOPES: &[PanicScope] = &[
     },
     PanicScope {
         path: "crates/core/src/router.rs",
-        fns: &["try_tick", "try_tick_into"],
+        fns: &["tick_into"],
     },
     PanicScope {
         path: "crates/net/src/cluster.rs",
@@ -443,11 +443,15 @@ fn float_determinism(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<Raw
     }
     let toks = &lexed.tokens;
     // Pass 1: names bound to HashMap/HashSet — `name: HashMap<..>`
-    // fields/params and `let [mut] name = …HashMap…;` bindings.
+    // fields/params and `let [mut] name = …HashMap…;` bindings. A path
+    // segment (`std::collections::HashMap`) is not a binding.
     let mut maps: Vec<String> = Vec::new();
     for i in 0..toks.len() {
         let t = &toks[i];
-        if t.kind == TokKind::Ident && tok(toks, i + 1).is_some_and(|n| n.is_punct(':')) {
+        if t.kind == TokKind::Ident
+            && tok(toks, i + 1).is_some_and(|n| n.is_punct(':'))
+            && !tok(toks, i + 2).is_some_and(|n| n.is_punct(':'))
+        {
             // look ahead a short window for a map type before a
             // delimiter ends the declaration
             for a in toks.iter().take(i + 10).skip(i + 2) {

@@ -179,6 +179,22 @@ fn float_det_clean_btreemap_passes() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
+#[test]
+fn float_det_ignores_path_segments_named_like_a_binding() {
+    // `std` precedes a map type in the import, but as a path segment, not
+    // a `name: HashMap` binding — iterating `std::iter::…` is not a map.
+    let src = "use std::collections::HashMap;\n\
+               pub fn f(m: &HashMap<u32, f64>) -> f64 {\n\
+               \x20   let mut t = 0.0;\n\
+               \x20   for x in std::iter::once(1.0) {\n\
+               \x20       t += x;\n\
+               \x20   }\n\
+               \x20   t + m.len() as f64\n\
+               }\n";
+    let findings = lint_file("crates/core/src/service.rs", src);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
 // ----------------------------------------------- directive validation
 
 #[test]

@@ -381,8 +381,9 @@ fn unsharded_rates(ticks: u64) -> Vec<(u32, f64)> {
         svc.on_message(start(&fabric, token, src, RECEIVER))
             .expect("demo workload is well-formed");
     }
+    let mut updates = Vec::new();
     for _ in 0..ticks {
-        svc.tick();
+        svc.tick_into(&mut updates);
     }
     incast_flows()
         .iter()

@@ -18,10 +18,10 @@
 //! repository's sharded equivalence tests). Over sockets it is the
 //! single-process harness the benches use to price the wire.
 //!
-//! A failed peer never panics through [`TickDriver::try_tick`]: the
+//! A failed peer never panics through [`TickDriver::tick_into`]: the
 //! tick returns [`ServiceError::PeerFailed`] naming the shard.
 //!
-//! [`TickDriver::try_tick`]: flowtune::TickDriver::try_tick
+//! [`TickDriver::tick_into`]: flowtune::TickDriver::tick_into
 
 use std::time::Duration;
 
@@ -131,7 +131,7 @@ impl<T: Transport, E: RateAllocator> ShardBackend for WireBackend<T, E> {
     /// every peer runs its exchange barrier and installs.
     fn tick(&mut self, streams: &mut [Vec<(u16, Message)>]) -> Result<(), ServiceError> {
         for (i, (peer, stream)) in self.peers.iter_mut().zip(streams).enumerate() {
-            *stream = peer.tick_export().map_err(failed(i))?;
+            peer.tick_export(stream).map_err(failed(i))?;
         }
         for (i, peer) in self.peers.iter_mut().enumerate() {
             peer.exchange_finish().map_err(failed(i))?;
@@ -192,7 +192,7 @@ impl<T: Transport, E: RateAllocator> ShardBackend for WireBackend<T, E> {
 mod tests {
     use std::time::Duration;
 
-    use flowtune::{ExchangeConfig, FlowtuneConfig, Placement, ShardedService};
+    use flowtune::{ExchangeConfig, FlowtuneConfig, Placement, ShardedService, TickDriver};
     use flowtune_proto::Token;
     use flowtune_topo::{ClosConfig, TwoTierClos};
 
@@ -227,7 +227,7 @@ mod tests {
                     .expect("mem transport splits infallibly")
             })
             .collect();
-        PeerCluster::from_peers(peers)
+        PeerCluster::from_shards(peers)
     }
 
     #[test]
@@ -413,17 +413,17 @@ mod tests {
                     .expect("mem transport splits infallibly")
             })
             .collect();
-        let mut c: PeerCluster<Flaky> = PeerCluster::from_peers(peers);
+        let mut c: PeerCluster<Flaky> = PeerCluster::from_shards(peers);
         c.on_message(start(1, 0, 12)).unwrap();
         c.on_message(start(2, 8, 4)).unwrap();
+        let mut out = Vec::new();
         for _ in 0..3 {
-            assert!(flowtune::TickDriver::try_tick(&mut c).is_ok());
+            assert!(c.tick_into(&mut out).is_ok());
         }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            flowtune::TickDriver::try_tick(&mut c)
-        }));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.tick_into(&mut out)));
         let err = outcome
-            .expect("a failed peer must not panic through try_tick")
+            .expect("a failed peer must not panic through tick_into")
             .expect_err("the dead link must fail the tick");
         assert_eq!(
             err,

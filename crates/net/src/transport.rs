@@ -168,14 +168,26 @@ pub trait Transport: std::fmt::Debug + Send {
 
 // ---------------------------------------------------------------- memory
 
-/// The shared state of an in-process mesh: one FIFO per directed peer
-/// pair, plus the buffer pool frames are recycled through.
+/// The shared state of an in-process mesh: one link per directed peer
+/// pair.
 #[derive(Debug)]
 struct MemMesh {
     n: usize,
-    /// Queue `from * n + to`, each with the condvar its receiver waits
-    /// on.
-    links: Vec<(Mutex<VecDeque<Vec<u8>>>, Condvar)>,
+    /// Link `from * n + to`.
+    links: Vec<MemLink>,
+}
+
+/// One directed peer pair: its FIFO, the condvar its receiver waits on,
+/// and the pool its frame buffers cycle through. The pool is per link,
+/// not per mesh, so a sender only ever reuses buffers its own receiver
+/// returned: under a lockstep exchange, whose barrier orders the
+/// receiver's return before the sender's next round, a warm link never
+/// finds its pool empty — however the other links' receivers are
+/// scheduled.
+#[derive(Debug)]
+struct MemLink {
+    queue: Mutex<VecDeque<Vec<u8>>>,
+    cv: Condvar,
     pool: Mutex<BufferPool>,
 }
 
@@ -198,9 +210,12 @@ pub fn mem_mesh(n: usize) -> Vec<MemTransport> {
     let mesh = Arc::new(MemMesh {
         n,
         links: (0..n * n)
-            .map(|_| (Mutex::new(VecDeque::new()), Condvar::new()))
+            .map(|_| MemLink {
+                queue: Mutex::new(VecDeque::new()),
+                cv: Condvar::new(),
+                pool: Mutex::new(BufferPool::new()),
+            })
             .collect(),
-        pool: Mutex::new(BufferPool::new()),
     });
     (0..n as u16)
         .map(|me| MemTransport {
@@ -219,8 +234,10 @@ impl MemTransport {
 }
 
 fn mesh_pool_stats(mesh: &MemMesh) -> (u64, u64) {
-    let pool = mesh.pool.lock().expect("pool poisoned");
-    (pool.hits(), pool.misses())
+    mesh.links.iter().fold((0, 0), |(hits, misses), link| {
+        let pool = link.pool.lock().expect("pool poisoned");
+        (hits + pool.hits(), misses + pool.misses())
+    })
 }
 
 /// The send half of a [`MemTransport`].
@@ -289,20 +306,19 @@ impl Sender for MemSender {
         if usize::from(to) >= n || to == self.me {
             return Err(TransportError::NoSuchPeer { peer: to }.into());
         }
-        let mut msg = self
-            .mesh
+        // flowtune-lint: allow(panic, "bounded: to < n checked above, links holds n*n queues")
+        let link = &self.mesh.links[usize::from(self.me) * n + usize::from(to)];
+        let mut msg = link
             .pool
             .lock()
             .map_err(|_| TransportError::Poisoned { what: "frame pool" })?
             .get(frame.len());
         msg.extend_from_slice(frame);
-        // flowtune-lint: allow(panic, "bounded: to < n checked above, links holds n*n queues")
-        let (queue, cv) = &self.mesh.links[usize::from(self.me) * n + usize::from(to)];
-        queue
+        link.queue
             .lock()
             .map_err(|_| TransportError::Poisoned { what: "peer queue" })?
             .push_back(msg);
-        cv.notify_one();
+        link.cv.notify_one();
         Ok(framed_wire_bytes(frame.len()))
     }
 }
@@ -315,9 +331,10 @@ impl Receiver for MemReceiver {
     fn recv(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> io::Result<Option<u64>> {
         let n = self.mesh.n;
         // flowtune-lint: allow(panic, "bounded: from < n held by construction, links holds n*n queues")
-        let (queue, cv) = &self.mesh.links[usize::from(self.from) * n + usize::from(self.me)];
+        let link = &self.mesh.links[usize::from(self.from) * n + usize::from(self.me)];
         let deadline = Instant::now() + timeout;
-        let mut q = queue
+        let mut q = link
+            .queue
             .lock()
             .map_err(|_| TransportError::Poisoned { what: "peer queue" })?;
         let msg = loop {
@@ -328,7 +345,8 @@ impl Receiver for MemReceiver {
             if left.is_zero() {
                 return Ok(None);
             }
-            let (guard, wait) = cv
+            let (guard, wait) = link
+                .cv
                 .wait_timeout(q, left)
                 .map_err(|_| TransportError::Poisoned { what: "peer queue" })?;
             q = guard;
@@ -340,8 +358,7 @@ impl Receiver for MemReceiver {
         buf.clear();
         buf.extend_from_slice(&msg);
         let bytes = framed_wire_bytes(msg.len());
-        self.mesh
-            .pool
+        link.pool
             .lock()
             .map_err(|_| TransportError::Poisoned { what: "frame pool" })?
             .put(msg);

@@ -15,7 +15,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use flowtune::{AllocatorService, ExchangeConfig, FlowtuneConfig, Placement};
+use flowtune::{AllocatorService, ExchangeConfig, FlowtuneConfig, Placement, TickDriver};
 use flowtune_net::{mem_mesh, MemTransport, ShardPeer};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};

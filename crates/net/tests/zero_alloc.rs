@@ -5,25 +5,32 @@
 //!   after warm-up — the frame goes into one flat reusable buffer and
 //!   the receiver's replicas are grown once, steady-state rounds only
 //!   overwrite;
-//! * a quiet allocator service tick — engine iteration, changed-rate
-//!   export, update filtering — touches the heap zero times after
-//!   warm-up, with the incremental engine on or off, including the
-//!   periodic full-sweep ticks and `rates_into` reads of every rate;
+//! * an allocator service tick into a warm caller buffer — engine
+//!   iteration, changed-rate export, update filtering, message encoding
+//!   — touches the heap zero times after warm-up, with the incremental
+//!   engine on or off, on quiet ticks (including the periodic full-sweep
+//!   ticks and `rates_into` reads of every rate) and on ticks that emit
+//!   an update for every flow;
+//! * the token-ordered merge of non-empty per-shard update streams into
+//!   a warm buffer touches the heap zero times;
 //! * a converged peer cluster over the mem transport — send path,
-//!   receiver threads, mailboxes, barrier, install, k-way merge —
-//!   recycles every frame buffer through the pools and ticks without
-//!   touching the heap (`PeerCluster::try_tick_into`).
+//!   receiver threads, mailboxes, barrier, install, merge — recycles
+//!   every frame buffer through the pools and ticks without touching the
+//!   heap (`TickDriver::tick_into`).
 //!
 //! A counting `#[global_allocator]` makes the claims checkable without
 //! tooling: it counts every `alloc`/`realloc`/`alloc_zeroed` while the
-//! measured window is open. This lives in its own integration-test
+//! measured window is open, on the measuring thread and on the threads
+//! the code under test spawns. The test harness's own threads are not
+//! counted (see [`counts_here`]). This lives in its own integration-test
 //! binary so the counter sees nothing but these tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig};
+use flowtune::{merge_by_token_into, AllocatorService, ExchangeCore, FlowtuneConfig, TickDriver};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
@@ -32,11 +39,65 @@ struct CountingAlloc;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// A thread's part in the measurement, decided on its first allocation
+/// inside a window (and set explicitly by the measuring thread).
+const UNDECIDED: u8 = 0;
+const COUNTED: u8 = 1;
+const HARNESS: u8 = 2;
+const DECIDING: u8 = 3;
+
+thread_local! {
+    static ROLE: Cell<u8> = const { Cell::new(UNDECIDED) };
+}
+
+/// Whether an allocation on this thread belongs to the measured window.
+/// libtest's own threads — its `main` thread and one thread per test,
+/// named after the test — allocate whenever a sibling test starts or
+/// reports, which has nothing to do with the code under test, so they
+/// are harness unless one is the thread measuring. Every thread the
+/// code under test spawns is either unnamed (the receive runtime's
+/// mailbox threads) or named `flowtune-…` (the worker pool), and always
+/// counts. An allocation made while a thread's role is being decided
+/// counts too, so nothing escapes.
+fn counts_here() -> bool {
+    ROLE.try_with(|role| match role.get() {
+        COUNTED | DECIDING => true,
+        HARNESS => false,
+        _ => {
+            role.set(DECIDING);
+            let harness = std::thread::current()
+                .name()
+                .is_some_and(|name| !name.starts_with("flowtune-"));
+            role.set(if harness { HARNESS } else { COUNTED });
+            !harness
+        }
+    })
+    .unwrap_or(true)
+}
+
+fn count() {
+    if ENABLED.load(Ordering::Relaxed) && counts_here() {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Opens the measured window, counting this thread.
+fn open_window() {
+    ROLE.with(|role| role.set(COUNTED));
+    ALLOCS.store(0, Ordering::Relaxed);
+    ENABLED.store(true, Ordering::Relaxed);
+}
+
+/// Closes the window and returns the allocations it counted.
+fn close_window() -> u64 {
+    ENABLED.store(false, Ordering::Relaxed);
+    ROLE.with(|role| role.set(HARNESS));
+    ALLOCS.load(Ordering::Relaxed)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -45,16 +106,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -122,8 +179,7 @@ fn steady_state_exchange_round_allocates_nothing() {
 
     // Measured window: every load moves every round, so every entry is
     // re-shipped — the worst case for the encode path.
-    ALLOCS.store(0, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
+    open_window();
     for r in 0..MEASURED_ROUNDS {
         for load in loads_a.iter_mut().chain(loads_b.iter_mut()) {
             *load += 0.001 * (r + 1) as f64;
@@ -137,13 +193,40 @@ fn steady_state_exchange_round_allocates_nothing() {
             &mut frame_b,
         );
     }
-    ENABLED.store(false, Ordering::Relaxed);
 
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let allocs = close_window();
     assert_eq!(
         allocs, 0,
         "steady-state exchange rounds must not allocate ({allocs} allocations over {MEASURED_ROUNDS} rounds)"
     );
+}
+
+/// A serial service on the 16-server test fabric with two flows per
+/// source, all started.
+fn loaded_service(fabric: &TwoTierClos, cfg: FlowtuneConfig) -> AllocatorService {
+    let mut svc = AllocatorService::new(fabric, cfg);
+    let mut token = 0u32;
+    for src in 0..16u16 {
+        for k in 0..2u16 {
+            let dst = (src + 5 + 3 * k) % 16;
+            token += 1;
+            let spine = fabric.ecmp_spine(
+                src as usize,
+                dst as usize,
+                flowtune_topo::FlowId(token as u64),
+            );
+            svc.on_message(Message::FlowletStart {
+                token: Token::new(token),
+                src,
+                dst,
+                size_hint: 1_000_000,
+                weight_q8: 256,
+                spine: spine as u8,
+            })
+            .unwrap();
+        }
+    }
+    svc
 }
 
 #[test]
@@ -159,48 +242,26 @@ fn steady_state_allocator_tick_allocates_nothing() {
             full_sweep_every: 8,
             ..FlowtuneConfig::default()
         };
-        let mut svc = AllocatorService::new(&fabric, cfg);
-        let mut token = 0u32;
-        for src in 0..16u16 {
-            for k in 0..2u16 {
-                let dst = (src + 5 + 3 * k) % 16;
-                token += 1;
-                let spine = fabric.ecmp_spine(
-                    src as usize,
-                    dst as usize,
-                    flowtune_topo::FlowId(token as u64),
-                );
-                svc.on_message(Message::FlowletStart {
-                    token: Token::new(token),
-                    src,
-                    dst,
-                    size_hint: 1_000_000,
-                    weight_q8: 256,
-                    spine: spine as u8,
-                })
-                .unwrap();
-            }
-        }
+        let mut svc = loaded_service(&fabric, cfg);
         let mut rates = Vec::new();
+        let mut updates = Vec::new();
         // Warm-up: converge the trajectory (so ticks are quiet and the
         // update filter suppresses everything) and size every reusable
         // buffer — export scratch, changed-set scratch, the rates vec.
         for _ in 0..300 {
-            svc.tick();
+            svc.tick_into(&mut updates);
         }
         svc.rates_into(&mut rates);
         assert_eq!(rates.len(), 32);
 
-        ALLOCS.store(0, Ordering::Relaxed);
-        ENABLED.store(true, Ordering::Relaxed);
+        open_window();
         for _ in 0..MEASURED_ROUNDS {
-            let updates = svc.tick();
+            svc.tick_into(&mut updates);
             assert!(updates.is_empty(), "quiet ticks must suppress updates");
             svc.rates_into(&mut rates);
         }
-        ENABLED.store(false, Ordering::Relaxed);
 
-        let allocs = ALLOCS.load(Ordering::Relaxed);
+        let allocs = close_window();
         assert_eq!(
             allocs, 0,
             "steady-state allocator ticks must not allocate \
@@ -208,6 +269,88 @@ fn steady_state_allocator_tick_allocates_nothing() {
         );
         assert_eq!(rates.len(), 32);
     }
+}
+
+#[test]
+fn updating_allocator_tick_into_a_warm_buffer_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
+    let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
+    for incremental in [true, false] {
+        // Threshold 0: every rate move is sent, and a trajectory a few
+        // ticks from its start still moves every flow on every tick.
+        let cfg = FlowtuneConfig {
+            incremental,
+            update_threshold: 0.0,
+            ..FlowtuneConfig::default()
+        };
+        let mut svc = loaded_service(&fabric, cfg);
+        let mut updates = Vec::new();
+        // Warm-up: the first tick sends all 32 flows' first rates, which
+        // sizes the caller buffer and the export scratch for a full tick.
+        for _ in 0..WARM_ROUNDS {
+            svc.tick_into(&mut updates);
+        }
+
+        let mut sent = 0;
+        open_window();
+        for _ in 0..MEASURED_ROUNDS {
+            svc.tick_into(&mut updates);
+            assert!(!updates.is_empty(), "a converging tick must send updates");
+            sent += updates.len();
+        }
+
+        let allocs = close_window();
+        assert_eq!(
+            allocs, 0,
+            "updating allocator ticks must not allocate \
+             (incremental={incremental}: {allocs} allocations over {sent} updates)"
+        );
+    }
+}
+
+#[test]
+fn merging_update_streams_into_a_warm_buffer_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
+    let update = |t: u32| {
+        (
+            (t % 16) as u16,
+            Message::RateUpdate {
+                token: Token::new(t),
+                rate: flowtune_proto::Rate16::encode(1.0),
+            },
+        )
+    };
+    // Four shards, tokens dealt round-robin: each stream is token-ordered
+    // and the token sets are disjoint, as the router guarantees.
+    let fill = |streams: &mut [Vec<(u16, Message)>]| {
+        for t in 1..=64u32 {
+            streams[t as usize % 4].push(update(t));
+        }
+    };
+    let mut streams = vec![Vec::new(); 4];
+    let mut out = Vec::new();
+    fill(&mut streams);
+    merge_by_token_into(&mut streams, &mut out);
+
+    open_window();
+    for _ in 0..MEASURED_ROUNDS {
+        fill(&mut streams);
+        merge_by_token_into(&mut streams, &mut out);
+    }
+
+    let allocs = close_window();
+    assert_eq!(
+        allocs, 0,
+        "merging into a warm buffer must not allocate ({allocs} allocations over {MEASURED_ROUNDS} merges)"
+    );
+    let tokens: Vec<u32> = out
+        .iter()
+        .map(|(_, m)| match m {
+            Message::RateUpdate { token, .. } => token.get(),
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(tokens, (1..=64).collect::<Vec<_>>());
 }
 
 #[test]
@@ -232,7 +375,7 @@ fn steady_state_peer_cluster_tick_allocates_nothing() {
                 .expect("mem transport splits infallibly")
         })
         .collect();
-    let mut cluster = PeerCluster::from_peers(peers);
+    let mut cluster = PeerCluster::from_shards(peers);
     let mut token = 0u32;
     for src in 0..16u16 {
         let dst = (src + 5) % 16;
@@ -254,18 +397,16 @@ fn steady_state_peer_cluster_tick_allocates_nothing() {
     // every reusable buffer — frame scratch, mailbox queues, the frame
     // pools on both the send and receive side.
     for _ in 0..300 {
-        cluster.try_tick_into(&mut out).expect("warm-up tick");
+        cluster.tick_into(&mut out).expect("warm-up tick");
     }
 
-    ALLOCS.store(0, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
+    open_window();
     for _ in 0..MEASURED_ROUNDS {
-        cluster.try_tick_into(&mut out).expect("measured tick");
+        cluster.tick_into(&mut out).expect("measured tick");
         assert!(out.is_empty(), "quiet cluster ticks must suppress updates");
     }
-    ENABLED.store(false, Ordering::Relaxed);
 
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let allocs = close_window();
     assert_eq!(
         allocs, 0,
         "steady-state peer cluster ticks must not allocate \

@@ -46,9 +46,11 @@ fn main() {
     notify(&mut agents, 3, 17, 99);
 
     // Run allocator ticks (one per 10 µs in deployment) and deliver the
-    // rate updates back to the owning endpoint agents.
+    // rate updates back to the owning endpoint agents. Each tick writes
+    // its updates into one reused buffer.
+    let mut updates = Vec::new();
     for tick in 1..=40 {
-        let updates = allocator.tick();
+        allocator.tick_into(&mut updates);
         for (server, msg) in &updates {
             agents[*server as usize].on_rate_update(msg);
         }
@@ -70,8 +72,9 @@ fn main() {
         allocator.on_message(msg).expect("end is always accepted");
     }
     for _ in 0..40 {
-        for (server, msg) in allocator.tick() {
-            agents[server as usize].on_rate_update(&msg);
+        allocator.tick_into(&mut updates);
+        for (server, msg) in &updates {
+            agents[*server as usize].on_rate_update(msg);
         }
     }
     println!(

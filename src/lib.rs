@@ -46,8 +46,9 @@
 //!             spine: 1,
 //!         })
 //!         .expect("token 1 is fresh");
+//!     let mut updates = Vec::new();
 //!     for _ in 0..150 {
-//!         allocator.tick();
+//!         allocator.tick_into(&mut updates);
 //!     }
 //!     // Whatever the engine, a lone flow converges to ~line rate.
 //!     let rate = allocator.flow_rate_gbps(Token::new(1)).unwrap();

@@ -8,6 +8,7 @@
 
 use flowtune::{
     AllocatorService, DynAllocatorService, EndpointAgent, Engine, FlowtuneConfig, ServiceError,
+    TickDriver,
 };
 use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};

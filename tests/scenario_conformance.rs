@@ -61,7 +61,7 @@ fn mem_cluster(
                 .expect("mem transport splits infallibly")
         })
         .collect();
-    PeerCluster::from_peers(peers)
+    PeerCluster::from_shards(peers)
 }
 
 #[test]

@@ -18,7 +18,7 @@
 mod common;
 
 use common::{assert_bit_for_bit, fabric, start, Replay, StatsCheck};
-use flowtune::{AllocatorService, FlowtuneConfig, ShardedService};
+use flowtune::{AllocatorService, FlowtuneConfig, ShardedService, TickDriver};
 use std::time::Duration;
 
 use flowtune_proto::{Message, Token};
@@ -238,7 +238,7 @@ fn mem_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
                             .expect("mem transport splits infallibly")
                     })
                     .collect();
-                let mut cluster = PeerCluster::from_peers(peers);
+                let mut cluster = PeerCluster::from_shards(peers);
 
                 assert_bit_for_bit(
                     &format!("mem cluster vs in-process, {shards} shards, exchange {exchange_every}, seed {seed}"),
@@ -296,7 +296,7 @@ fn uds_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
                         .expect("connected uds transport splits")
                 })
                 .collect();
-            let mut cluster = PeerCluster::from_peers(peers);
+            let mut cluster = PeerCluster::from_shards(peers);
 
             assert_bit_for_bit(
                 &format!("uds cluster vs in-process, {shards} shards, seed {seed}"),
@@ -328,7 +328,7 @@ fn mem_cluster(
                 .expect("mem transport splits infallibly")
         })
         .collect();
-    flowtune_net::PeerCluster::from_peers(peers)
+    flowtune_net::PeerCluster::from_shards(peers)
 }
 
 #[test]
@@ -469,8 +469,8 @@ impl flowtune_alloc::RateAllocator for PanickyEngine {
         self.inner.flow_count()
     }
 
-    fn rates(&self) -> Vec<flowtune_alloc::FlowRate> {
-        self.inner.rates()
+    fn rates_into(&self, out: &mut Vec<flowtune_alloc::FlowRate>) {
+        self.inner.rates_into(out);
     }
 
     fn flow_rate(&self, id: flowtune_topo::FlowId) -> Option<flowtune_alloc::FlowRate> {
@@ -509,7 +509,8 @@ fn a_panicking_shard_is_contained_not_fatal() {
         let mut svc = ShardedService::from_shards(vec![shard(0), shard(1)]);
         svc.on_message(start(&fabric, 1, 0, 12)).unwrap(); // shard 0
         svc.on_message(start(&fabric, 2, 8, 4)).unwrap(); // shard 1
-        let err = svc.try_tick().expect_err("shard 1 must panic");
+        let mut updates = Vec::new();
+        let err = svc.tick_into(&mut updates).expect_err("shard 1 must panic");
         assert_eq!(
             err,
             ServiceError::ShardPanicked { shard: 1 },
@@ -524,7 +525,7 @@ fn a_panicking_shard_is_contained_not_fatal() {
         // Neither the pool nor the service is poisoned: the next tick
         // succeeds and serves *both* shards (the recovered shard's flow
         // gets its first update now).
-        let updates = svc.try_tick().expect("recovered tick");
+        svc.tick_into(&mut updates).expect("recovered tick");
         assert!(
             updates
                 .iter()
