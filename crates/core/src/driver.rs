@@ -36,7 +36,9 @@ pub struct PhaseTimings {
     pub intake: std::time::Duration,
     /// Engine iterations (`run_iterations` inside `tick`).
     pub allocate: std::time::Duration,
-    /// Update export: rate reads, threshold filtering, message encoding.
+    /// Update export: the engine's rate drain, the §6.4 threshold filter,
+    /// `Rate16` encoding of the updates that pass and their sort into
+    /// token order.
     pub export: std::time::Duration,
     /// Inter-shard link-state exchange rounds (sharded drivers only).
     pub exchange: std::time::Duration,
@@ -266,13 +268,39 @@ impl<D: TickDriver> TickLoop<D> {
     /// [`TickLoop::next_tick_ps`]). When `now_ps` has overshot several
     /// intervals, each call pays off one owed tick, so a catch-up loop
     /// (`while let Some(…) = poll(now_ps)`) restores the cadence.
+    ///
+    /// # Panics
+    /// Panics with the [`ServiceError`] if a shard failed (see
+    /// [`TickLoop::poll_into`] for the fallible form).
     pub fn poll(&mut self, now_ps: u64) -> Option<Vec<(u16, Message)>> {
+        let mut out = Vec::new();
+        match self.poll_into(now_ps, &mut out) {
+            Ok(true) => Some(out),
+            Ok(false) => None,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`TickLoop::poll`] into a caller-provided buffer: `Ok(true)` when
+    /// a tick ran and wrote its update stream into `out` (cleared
+    /// first), `Ok(false)` when none was due and `out` was left alone. A
+    /// tick into a warm buffer does not allocate.
+    ///
+    /// # Errors
+    /// The tick's [`ServiceError`] (see [`TickDriver::tick_into`]); the
+    /// tick still counts as run, so the cadence moves on.
+    pub fn poll_into(
+        &mut self,
+        now_ps: u64,
+        out: &mut Vec<(u16, Message)>,
+    ) -> Result<bool, ServiceError> {
         if now_ps < self.next_ps {
-            return None;
+            return Ok(false);
         }
         self.next_ps += self.interval_ps;
         self.ticks += 1;
-        Some(self.driver.tick())
+        self.driver.tick_into(out)?;
+        Ok(true)
     }
 }
 
@@ -348,6 +376,28 @@ mod tests {
         assert_eq!(caught_up, 4, "ticks at 20, 30, 40, 50");
         assert_eq!(tl.next_tick_ps(), 60);
         assert_eq!(tl.driver().stats().iterations, tl.ticks());
+    }
+
+    #[test]
+    fn poll_into_ticks_on_the_same_cadence_as_poll() {
+        let mut by_poll = TickLoop::new(service(), 10);
+        let mut by_poll_into = TickLoop::new(service(), 10);
+        by_poll.driver_mut().on_message(start(1)).unwrap();
+        by_poll_into.driver_mut().on_message(start(1)).unwrap();
+        let mut out = vec![(7, start(9))];
+        for now_ps in [0, 5, 10, 35, 35, 35, 35] {
+            let ran = by_poll_into.poll_into(now_ps, &mut out).unwrap();
+            match by_poll.poll(now_ps) {
+                Some(updates) => {
+                    assert!(ran, "at {now_ps}");
+                    assert_eq!(out, updates, "at {now_ps}");
+                }
+                None => assert!(!ran, "at {now_ps}"),
+            }
+            assert_eq!(by_poll_into.ticks(), by_poll.ticks());
+            assert_eq!(by_poll_into.next_tick_ps(), by_poll.next_tick_ps());
+        }
+        assert_eq!(by_poll_into.ticks(), 4, "ticks at 0, 10, 20, 30");
     }
 
     #[test]

@@ -559,9 +559,10 @@ pub struct AllocatorService<E: RateAllocator = SerialAllocator> {
     index: HashMap<Token, u32>,
     /// Scratch buffer the engine's changed-rate drain fills each tick.
     export_buf: Vec<FlowRate>,
-    /// Scratch buffer sorting the drained `(token, slot, rate)` triples
-    /// into token order.
-    changed_buf: Vec<(Token, u32, f64)>,
+    /// Scratch buffer of the tick's sent updates, each packed as
+    /// `token << 32 | src << 16 | rate16` so that sorting the words
+    /// sorts them by token.
+    sent_keys: Vec<u64>,
     filter: ThresholdFilter,
     stats: ServiceStats,
     timings: PhaseTimings,
@@ -604,7 +605,7 @@ impl<E: RateAllocator> AllocatorService<E> {
             free: Vec::new(),
             index: HashMap::new(),
             export_buf: Vec::new(),
-            changed_buf: Vec::new(),
+            sent_keys: Vec::new(),
             filter: ThresholdFilter::new(cfg.update_threshold),
             stats: ServiceStats::default(),
             timings: PhaseTimings::default(),
@@ -700,34 +701,40 @@ impl<E: RateAllocator> AllocatorService<E> {
     }
 
     /// The export: drain the engine's changed rates (an incremental
-    /// engine's changed set; every flow for a full-sweep engine), pair
-    /// each with its slot, sort into token order and run the §6.4 filter
-    /// on the slot's memory, writing what passes into `out`. A flow the
-    /// engine did not drain has not moved since it was last filtered, so
-    /// the filter would suppress it — it is counted suppressed directly,
-    /// keeping every [`ServiceStats`] counter independent of the engine
-    /// kind.
+    /// engine's changed set; every flow for a full-sweep engine) and run
+    /// the §6.4 filter on each flow's slot memory in drain order — each
+    /// decision reads only its own slot, so order cannot change it. Only
+    /// the updates that pass are packed into a sort key, sorted into
+    /// token order and written to `out`. A flow the engine did not drain
+    /// has not moved since it was last filtered, so the filter would
+    /// suppress it — it is counted suppressed directly, keeping every
+    /// [`ServiceStats`] counter independent of the engine kind.
     fn export(&mut self, out: &mut Vec<(u16, Message)>) {
         out.clear();
         self.engine.take_changed_rates(&mut self.export_buf);
-        self.changed_buf.clear();
+        self.sent_keys.clear();
         for r in &self.export_buf {
-            let slot = r.id.index();
-            self.changed_buf
-                .push((self.slots[slot].flow.token, slot as u32, r.normalized));
-        }
-        self.changed_buf.sort_unstable_by_key(|e| e.0);
-        for &(token, slot, gbps) in &self.changed_buf {
-            let entry = &mut self.slots[slot as usize];
-            if self.filter.should_send(&mut entry.last_sent, gbps) {
-                let msg = Message::RateUpdate {
-                    token,
-                    rate: Rate16::encode(gbps),
-                };
-                self.stats.bytes_out += msg.encoded_len() as u64;
-                out.push((entry.flow.src, msg));
+            let entry = &mut self.slots[r.id.index()];
+            if self.filter.should_send(&mut entry.last_sent, r.normalized) {
+                self.sent_keys.push(
+                    u64::from(entry.flow.token.get()) << 32
+                        | u64::from(entry.flow.src) << 16
+                        | u64::from(Rate16::encode(r.normalized).bits()),
+                );
             }
         }
+        // Tokens are unique among active flows, so the token bits alone
+        // decide the order.
+        self.sent_keys.sort_unstable();
+        let bytes_out = &mut self.stats.bytes_out;
+        out.extend(self.sent_keys.iter().map(|&key| {
+            let msg = Message::RateUpdate {
+                token: Token::new((key >> 32) as u32),
+                rate: Rate16::from_bits(key as u16),
+            };
+            *bytes_out += msg.encoded_len() as u64;
+            ((key >> 16) as u16, msg)
+        }));
         self.stats.updates_sent += out.len() as u64;
         self.stats.updates_suppressed += (self.index.len() - out.len()) as u64;
     }
@@ -1226,6 +1233,85 @@ mod tests {
             "{rate} vs {last_sent}"
         );
         assert_eq!(updates_for(&updates, 1), 1, "{updates:?}");
+    }
+
+    /// One tick, checked: updates leave in strictly ascending token
+    /// order, each routed to its flow's source and carrying its current
+    /// rate, and every active flow is counted sent or suppressed.
+    fn checked_tick(svc: &mut DynAllocatorService, name: &str) -> Vec<u32> {
+        let before = svc.stats();
+        let updates = svc.tick();
+        let after = svc.stats();
+        let mut tokens = Vec::new();
+        for &(src, msg) in &updates {
+            let Message::RateUpdate { token, rate } = msg else {
+                panic!("{name}: export emitted {msg:?}");
+            };
+            assert_eq!(svc.flow_source(token), Some(src), "{name}: {token:?}");
+            let gbps = svc.flow_rate_gbps(token).unwrap();
+            assert_eq!(rate, Rate16::encode(gbps), "{name}: {token:?}");
+            tokens.push(token.get());
+        }
+        assert!(
+            tokens.windows(2).all(|w| w[0] < w[1]),
+            "{name}: not in ascending token order: {tokens:?}"
+        );
+        let considered = |s: ServiceStats| s.updates_sent + s.updates_suppressed;
+        assert_eq!(
+            considered(after) - considered(before),
+            svc.active_flows() as u64,
+            "{name}"
+        );
+        tokens
+    }
+
+    #[test]
+    fn updates_leave_in_token_order_whatever_the_drain_order() {
+        // Four FlowBlocks of two racks of four servers.
+        let f = TwoTierClos::build(ClosConfig::multicore(4, 2, 4));
+        for name in ENGINE_NAMES {
+            let mut svc = AllocatorService::builder()
+                .fabric(&f)
+                .engine(Engine::parse(name).unwrap())
+                .update_threshold(0.0)
+                .build()
+                .unwrap();
+            // Descending tokens in ascending slots, one flow from every
+            // server, most of them crossing blocks.
+            let token_of = |i: u32| 1000 - 10 * i;
+            for i in 0..32u32 {
+                let (src, dst) = (i as u16, ((7 * i + 5) % 32) as u16);
+                let mut msg = start(token_of(i), src, dst);
+                if let Message::FlowletStart { spine, .. } = &mut msg {
+                    *spine = (i % 4) as u8;
+                }
+                svc.on_message(msg).unwrap();
+            }
+            let first = checked_tick(&mut svc, name);
+            assert_eq!(first.len(), 32, "{name}: every first rate is sent");
+            for _ in 0..4 {
+                checked_tick(&mut svc, name);
+            }
+            // End every third flow and reuse its slot under a token that
+            // lands elsewhere in the order: some below every live token,
+            // some between live ones.
+            let mut fresh = Vec::new();
+            for i in (0..32u32).step_by(3) {
+                svc.on_message(end(token_of(i))).unwrap();
+                let token = if i % 2 == 0 { 1 + i } else { token_of(i) + 5 };
+                let (src, dst) = (((i + 16) % 32) as u16, i as u16);
+                svc.on_message(start(token, src, dst)).unwrap();
+                fresh.push(token);
+            }
+            assert_eq!(svc.slots.len(), 32, "{name}: the new flows reuse slots");
+            let sent = checked_tick(&mut svc, name);
+            for token in fresh {
+                assert!(sent.contains(&token), "{name}: {token} gets its first rate");
+            }
+            for _ in 0..4 {
+                checked_tick(&mut svc, name);
+            }
+        }
     }
 
     #[test]

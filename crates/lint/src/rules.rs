@@ -138,11 +138,15 @@ pub const HOT_MODULES: &[HotModule] = &[
     },
     HotModule {
         path: "crates/core/src/driver.rs",
-        hot_fns: &["tick_into"],
+        hot_fns: &["tick_into", "poll_into"],
     },
     HotModule {
         path: "crates/core/src/scenario.rs",
         hot_fns: &["drain_and_sample"],
+    },
+    HotModule {
+        path: "crates/proto/src/rate16.rs",
+        hot_fns: &["encode"],
     },
     HotModule {
         path: "crates/net/src/transport.rs",

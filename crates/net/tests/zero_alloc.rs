@@ -11,6 +11,8 @@
 //!   engine on or off, on quiet ticks (including the periodic full-sweep
 //!   ticks and `rates_into` reads of every rate) and on ticks that emit
 //!   an update for every flow;
+//! * a `TickLoop::poll_into` tick into a warm caller buffer touches the
+//!   heap zero times;
 //! * the token-ordered merge of non-empty per-shard update streams into
 //!   a warm buffer touches the heap zero times;
 //! * a converged peer cluster over the mem transport — send path,
@@ -30,7 +32,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use flowtune::{merge_by_token_into, AllocatorService, ExchangeCore, FlowtuneConfig, TickDriver};
+use flowtune::{
+    merge_by_token_into, AllocatorService, ExchangeCore, FlowtuneConfig, TickDriver, TickLoop,
+};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
@@ -306,6 +310,42 @@ fn updating_allocator_tick_into_a_warm_buffer_allocates_nothing() {
              (incremental={incremental}: {allocs} allocations over {sent} updates)"
         );
     }
+}
+
+#[test]
+fn tick_loop_poll_into_a_warm_buffer_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
+    let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
+    // Threshold 0, as above: every measured tick sends updates.
+    let cfg = FlowtuneConfig {
+        update_threshold: 0.0,
+        ..FlowtuneConfig::default()
+    };
+    let interval_ps = cfg.tick_interval_ps;
+    let mut tick_loop = TickLoop::new(loaded_service(&fabric, cfg), interval_ps);
+    let mut updates = Vec::new();
+    let mut now_ps = 0;
+    for _ in 0..WARM_ROUNDS {
+        assert_eq!(tick_loop.poll_into(now_ps, &mut updates), Ok(true));
+        now_ps += interval_ps;
+    }
+
+    let mut sent = 0;
+    open_window();
+    for _ in 0..MEASURED_ROUNDS {
+        assert_eq!(tick_loop.poll_into(now_ps, &mut updates), Ok(true));
+        assert!(!updates.is_empty(), "a converging tick must send updates");
+        sent += updates.len();
+        // Not due again until the next interval.
+        assert_eq!(tick_loop.poll_into(now_ps, &mut updates), Ok(false));
+        now_ps += interval_ps;
+    }
+
+    let allocs = close_window();
+    assert_eq!(
+        allocs, 0,
+        "TickLoop::poll_into ticks must not allocate ({allocs} allocations over {sent} updates)"
+    );
 }
 
 #[test]
